@@ -303,6 +303,15 @@ func main() {
 		}
 		fmt.Printf("expectd: admin %s\n", adminSrv.Addr())
 	}
+	// Install the handler before announcing ready: a supervisor may send
+	// SIGTERM the instant it reads the line, and the default action would
+	// kill the daemon undrained.
+	notif := []os.Signal{syscall.SIGTERM, syscall.SIGINT}
+	if *ckptPath != "" {
+		notif = append(notif, syscall.SIGUSR1)
+	}
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, notif...)
 	fmt.Println("expectd: ready")
 
 	if *drive != "" {
@@ -315,12 +324,6 @@ func main() {
 		}()
 	}
 
-	notif := []os.Signal{syscall.SIGTERM, syscall.SIGINT}
-	if *ckptPath != "" {
-		notif = append(notif, syscall.SIGUSR1)
-	}
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, notif...)
 	for s := range sig {
 		if s != syscall.SIGUSR1 {
 			break

@@ -234,7 +234,7 @@ func SpawnNetwork(cfg *Config, name, addr string) (*Session, error) {
 	stopFork := opt.Prof.Start(metrics.PhaseFork)
 	var nc *netx.Conn
 	var err error
-	if cfg != nil && cfg.Sched != nil && !nopt.Legacy {
+	if cfg != nil && cfg.Sched != nil {
 		// Defer ingest: the adopting shard chooses between its readiness
 		// loop (linux, zero goroutines per connection) and the fallback
 		// reader goroutine. If adoption falls through to a pump, the first

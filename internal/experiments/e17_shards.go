@@ -22,8 +22,8 @@ import (
 // elapsed/dialogues), dialogues/sec, and the p99 wakeup-to-match tail.
 // The acceptance bar: sharded at 10k sessions stays within 2x the
 // per-dialogue cost of the goroutine baseline at its comfortable
-// 64-session size. The 1k-session sharded p99 is the regression-guard
-// metric scripts/check.sh pins against BENCH_4.json.
+// 64-session size. The 1k-session sharded p99 is guarded against the
+// committed BENCH_4.json.
 func ShardScaling() (Result, error) {
 	const (
 		shardCount = 8
@@ -132,5 +132,10 @@ func ShardScaling() (Result, error) {
 		Table:   t.String(),
 		Metrics: m,
 		Verdict: verdict,
+		Guards:  e17Guards,
 	}, nil
 }
+
+// e17Guards: the 1k-session sharded p99 wakeup-to-match latency may
+// regress at most 10% against the committed snapshot.
+var e17Guards = []Guard{regressAtMost("p99_wakeup_ns_1000_sharded", 10, "BENCH_4.json")}

@@ -35,7 +35,7 @@ import (
 // sharded} schedulers, same seeded dialogue mix as E17. The acceptance
 // bar mirrors E17's: 10k sharded socket sessions stay within 2x the
 // per-dialogue cost of the 64-session goroutine baseline (also over
-// sockets). scripts/check.sh pins the ratio via benchreport -netguard.
+// sockets), and a guard on the Result pins that ratio.
 func NetworkScaling(repoRoot string) (Result, error) {
 	const (
 		shardCount = 8
@@ -144,8 +144,13 @@ func NetworkScaling(repoRoot string) (Result, error) {
 		Table:   t.String(),
 		Metrics: m,
 		Verdict: verdict,
+		Guards:  e18Guards,
 	}, nil
 }
+
+// e18Guards: 10k sharded socket sessions may cost at most 2x the
+// 64-session goroutine baseline per dialogue.
+var e18Guards = []Guard{atMost("ratio_10k_sharded_vs_64_goroutine_net", 2)}
 
 // expectdProc is a running expectd daemon owned by the experiment.
 type expectdProc struct {

@@ -29,8 +29,8 @@ import (
 //  2. Checkpoint/restore round-trip — serialize a live session (2 KiB
 //     buffer, pending expect op), parse it back, and rebuild the session;
 //     the p99 of that round-trip is the per-session cost of expectd's
-//     SIGUSR1 checkpoint-all and the crash-recovery path, and check.sh
-//     pins it against the committed BENCH_7.json.
+//     SIGUSR1 checkpoint-all and the crash-recovery path, guarded
+//     against the committed BENCH_7.json.
 //  3. Replay validation — journal one conformance scenario and re-drive
 //     it through the replay engine; the run must replay clean, proving
 //     the journal the overhead leg pays for actually buys a reproducible
@@ -224,5 +224,14 @@ func ReplayEconomics() (Result, error) {
 		Table:   t.String(),
 		Metrics: m,
 		Verdict: verdict,
+		Guards:  e20Guards,
 	}, nil
+}
+
+// e20Guards: a journal-armed soak may cost at most 10% more per dialogue
+// than ring-only, and the checkpoint/restore round-trip p99 may regress
+// at most 25% against the committed snapshot.
+var e20Guards = []Guard{
+	atMost("journal_overhead_pct", 10),
+	regressAtMost("ckpt_roundtrip_p99_ns", 25, "BENCH_7.json"),
 }

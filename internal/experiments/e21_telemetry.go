@@ -234,7 +234,15 @@ func TelemetryEconomics() (Result, error) {
 		Table:   t.String(),
 		Metrics: m,
 		Verdict: verdict,
+		Guards:  e21Guards,
 	}, nil
+}
+
+// e21Guards: scraping /metrics at 1 Hz may cost at most 3% per dialogue,
+// and an armed-but-unscraped plane at most a third of that.
+var e21Guards = []Guard{
+	atMost("telemetry_scraped_overhead_pct", 3),
+	atMost("telemetry_armed_overhead_pct", 1),
 }
 
 // priceScrape measures what one /metrics scrape costs over a quiescent

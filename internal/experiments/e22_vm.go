@@ -63,8 +63,8 @@ func vmDiffRun(mode tcl.EvalMode, script string) string {
 // scripts and expressions to register bytecode with a constant pool,
 // interned variable slots, and inline caches. The classic walker stays the
 // frozen referee: the experiment also sweeps a differential script table
-// across all three modes and reports the divergence count, which the
-// -vmguard benchreport gate requires to be zero.
+// across all three modes and reports the divergence count, which a guard
+// requires to be zero.
 func VMBytecode() (Result, error) {
 	t := &table{header: []string{"hot path", "classic", "cached", "vm", "vm vs cached"}}
 	m := map[string]float64{}
@@ -137,7 +137,7 @@ set total`
 
 	// Differential sweep: classic is the referee; cached and vm must match
 	// it byte-for-byte on result, error, output, and step count, cold and
-	// warm. Any divergence fails the -vmguard gate regardless of speed.
+	// warm. Any divergence fails its guard regardless of speed.
 	divergences := 0
 	for _, s := range vmDiffScripts {
 		ref := vmDiffRun(tcl.EvalClassic, s)
@@ -163,5 +163,15 @@ set total`
 		Table:   t.String(),
 		Metrics: m,
 		Verdict: verdict,
+		Guards:  e22Guards,
 	}, nil
+}
+
+// e22Guards: the vm must stay at least 3x faster than the cached
+// evaluator on the E15 eval and expr benchmarks, and no differential
+// script may diverge from the classic referee.
+var e22Guards = []Guard{
+	atLeast("vm_eval_speedup_vs_cached", 3),
+	atLeast("vm_expr_speedup_vs_cached", 3),
+	atMost("vm_conformance_divergences", 0),
 }

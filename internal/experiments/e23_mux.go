@@ -30,8 +30,8 @@ import (
 // 100k per-dialogue cost must stay within 2x the committed 10k-session
 // socket baseline from BENCH_5.json (E18's 10k sharded cell) — scaling
 // sessions 10x while shedding 99.9% of the sockets may not cost more
-// than 2x per dialogue. scripts/check.sh pins that via benchreport
-// -muxguard, which also fails on any dirty drain.
+// than 2x per dialogue. Guards pin that ratio and fail on any dirty
+// drain.
 func MuxGatewayScaling(repoRoot string) (Result, error) {
 	const (
 		shardCount   = 8
@@ -115,7 +115,7 @@ func MuxGatewayScaling(repoRoot string) (Result, error) {
 
 	// Hot-drain certification at full fan-in: SIGTERM both gateways and
 	// require the GOAWAY-then-drain exit. A dirty drain is a metric, not
-	// an experiment error — the -muxguard gate is what fails on it.
+	// an experiment error — its guard is what fails on it.
 	dirty := 0
 	var served uint64
 	var drainNote string
@@ -177,7 +177,15 @@ func MuxGatewayScaling(repoRoot string) (Result, error) {
 		Table:   t.String(),
 		Metrics: m,
 		Verdict: verdict,
+		Guards:  e23Guards,
 	}, nil
+}
+
+// e23Guards: the 100k-session gateway may cost at most 2x the 10k
+// socket baseline per dialogue, and every gateway must drain clean.
+var e23Guards = []Guard{
+	atMost("ratio_100k_mux_vs_10k_net_baseline", 2),
+	atMost("mux_dirty_drains", 0),
 }
 
 // bench5NetBaseline reads E18's committed 10k sharded socket

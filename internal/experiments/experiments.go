@@ -30,6 +30,61 @@ type Result struct {
 	Metrics map[string]float64 `json:"metrics"`
 	// Verdict is a one-line comparison of shape vs the paper.
 	Verdict string `json:"verdict"`
+	// Guards are the bounds cmd/benchreport enforces on Metrics whenever
+	// this experiment runs. They are declarations, not results, so they
+	// stay out of the JSON snapshot.
+	Guards []Guard `json:"-"`
+}
+
+// A Guard bounds one metric of its experiment. Plain guards bound the
+// measured value; a guard with a Baseline bounds the percentage
+// regression of the value against a committed results file.
+type Guard struct {
+	// Metric is the key in Result.Metrics.
+	Metric string
+	// AtLeast makes Bound a floor; otherwise it is a ceiling.
+	AtLeast bool
+	// Bound is the limit on the value, or on the regression percentage
+	// when Baseline is set.
+	Bound float64
+	// Baseline, when set, names a results JSON (a committed BENCH_N.json,
+	// relative to the repository root) holding the reference value of
+	// Metric. The guarded figure is then (value/reference - 1) x 100.
+	Baseline string
+}
+
+// atMost declares a ceiling on a metric.
+func atMost(metric string, bound float64) Guard { return Guard{Metric: metric, Bound: bound} }
+
+// atLeast declares a floor on a metric.
+func atLeast(metric string, bound float64) Guard {
+	return Guard{Metric: metric, AtLeast: true, Bound: bound}
+}
+
+// regressAtMost declares that a metric may regress at most pct percent
+// against its value in the baseline results file.
+func regressAtMost(metric string, pct float64, baseline string) Guard {
+	return Guard{Metric: metric, Bound: pct, Baseline: baseline}
+}
+
+// Holds reports whether the guarded figure v is within the bound.
+func (g Guard) Holds(v float64) bool {
+	if g.AtLeast {
+		return v >= g.Bound
+	}
+	return v <= g.Bound
+}
+
+// String renders the bound, e.g. "p99 <= +10% vs BENCH_4.json".
+func (g Guard) String() string {
+	op := "<="
+	if g.AtLeast {
+		op = ">="
+	}
+	if g.Baseline != "" {
+		return fmt.Sprintf("%s %s %+g%% vs %s", g.Metric, op, g.Bound, g.Baseline)
+	}
+	return fmt.Sprintf("%s %s %g", g.Metric, op, g.Bound)
 }
 
 // Format renders a result as a report section.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -116,8 +117,11 @@ func TestE16TraceOverheadShape(t *testing.T) {
 		t.Skip("interleaved overhead passes take seconds of wall clock")
 	}
 	r := checkShape(t, "E16", TraceOverhead)
-	// No assertion on the overhead percentages: they are what check.sh's
-	// guard enforces, and a loaded CI worker must not fail the unit tier
+	if !reflect.DeepEqual(r.Guards, e16Guards) {
+		t.Errorf("E16 result guards = %v, want %v", r.Guards, e16Guards)
+	}
+	// No assertion on the overhead percentages: they are what its guard
+	// enforces under benchreport, and a loaded CI worker must not fail the unit tier
 	// over scheduler noise. The shape obligations are that every
 	// configuration produced a rate and the histograms actually sampled.
 	for _, key := range []string{"ns_per_expect_absent", "ns_per_expect_disabled",
@@ -134,6 +138,56 @@ func TestE16TraceOverheadShape(t *testing.T) {
 	}
 	if r.Metrics["ns_per_expect_diag"] <= r.Metrics["ns_per_expect_absent"] {
 		t.Error("full diag rendering measured cheaper than no recorder at all — instrumentation inverted")
+	}
+}
+
+// TestDeclaredGuards pins every benchmark guard: metric, direction, bound
+// and baseline file. Loosening, dropping or re-pointing one is a visible
+// diff here.
+func TestDeclaredGuards(t *testing.T) {
+	declared := map[string][]Guard{
+		"E16": e16Guards, "E17": e17Guards, "E18": e18Guards, "E19": e19Guards,
+		"E20": e20Guards, "E21": e21Guards, "E22": e22Guards, "E23": e23Guards,
+	}
+	want := map[string][]Guard{
+		"E16": {{Metric: "trace_overhead_disabled_pct", Bound: 2}},
+		"E17": {{Metric: "p99_wakeup_ns_1000_sharded", Bound: 10, Baseline: "BENCH_4.json"}},
+		"E18": {{Metric: "ratio_10k_sharded_vs_64_goroutine_net", Bound: 2}},
+		"E19": {
+			{Metric: "bytes_copied_drop_pct_10k", AtLeast: true, Bound: 40},
+			{Metric: "ingest_allocs_drop_pct_10k", AtLeast: true, Bound: 40},
+			{Metric: "ingest_goroutines_10k_sharded", Bound: 256},
+		},
+		"E20": {
+			{Metric: "journal_overhead_pct", Bound: 10},
+			{Metric: "ckpt_roundtrip_p99_ns", Bound: 25, Baseline: "BENCH_7.json"},
+		},
+		"E21": {
+			{Metric: "telemetry_scraped_overhead_pct", Bound: 3},
+			{Metric: "telemetry_armed_overhead_pct", Bound: 1},
+		},
+		"E22": {
+			{Metric: "vm_eval_speedup_vs_cached", AtLeast: true, Bound: 3},
+			{Metric: "vm_expr_speedup_vs_cached", AtLeast: true, Bound: 3},
+			{Metric: "vm_conformance_divergences", Bound: 0},
+		},
+		"E23": {
+			{Metric: "ratio_100k_mux_vs_10k_net_baseline", Bound: 2},
+			{Metric: "mux_dirty_drains", Bound: 0},
+		},
+	}
+	if !reflect.DeepEqual(declared, want) {
+		t.Errorf("declared guards drifted:\n got %v\nwant %v", declared, want)
+	}
+}
+
+func TestGuardHolds(t *testing.T) {
+	ceil, floor := atMost("m", 2), atLeast("m", 40)
+	if !ceil.Holds(2) || ceil.Holds(2.5) || !floor.Holds(40) || floor.Holds(39) {
+		t.Error("guard direction inverted")
+	}
+	if got := regressAtMost("p99", 10, "BENCH_4.json").String(); got != "p99 <= +10% vs BENCH_4.json" {
+		t.Errorf("String() = %q", got)
 	}
 }
 

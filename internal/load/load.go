@@ -151,11 +151,6 @@ type Config struct {
 	// MuxStreamsPerConn bounds concurrent streams per pooled connection
 	// (0 = the netx default of 2048).
 	MuxStreamsPerConn int
-	// LegacyNet pins network sessions to the copying slab ingest path —
-	// reader goroutine per connection, no segment pool, no readiness
-	// loop. It is the frozen referee the E19 zero-copy comparison
-	// measures against.
-	LegacyNet bool
 	// NoWrap drops the flaky worker's faultify transport wrapper, so
 	// every session stays on the raw event-capable transport. E19 uses
 	// it to isolate the ingest architecture: a wrapped stream hides the
@@ -226,8 +221,8 @@ type Result struct {
 
 	// Ingest accounting (network mode only; zero otherwise): what the
 	// socket→match-buffer data path did to every payload byte, and the
-	// per-dialogue quotients the E19 memguard gate compares across the
-	// legacy and zero-copy configurations.
+	// per-dialogue quotients E19's guards compare against its recorded
+	// copying-ingest cell.
 	BytesCopied       int64
 	BytesHandedOff    int64
 	IngestAllocs      int64
@@ -295,7 +290,6 @@ func (w *worker) respawn() error {
 		SID:      int32(w.id),
 		Ingest:   w.ingest,
 	}
-	cfg.NetOptions.Legacy = w.cfg.LegacyNet
 	cfg.NetOptions.Pool = w.pool
 	var program proc.Program
 	name, addr := "", ""
@@ -447,9 +441,7 @@ func Run(cfg Config) (*Result, error) {
 	var pool *netx.SegmentPool
 	if cfg.Net != nil || len(cfg.MuxAddrs) > 0 {
 		ingest = &metrics.IngestStats{}
-		if !cfg.LegacyNet {
-			pool = netx.NewSegmentPool(netx.Options{}.ReadChunk(), ingest)
-		}
+		pool = netx.NewSegmentPool(netx.Options{}.ReadChunk(), ingest)
 	}
 
 	// Gateway mode shares one connection pool across every worker: that

@@ -1,11 +1,14 @@
 package load
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"os/exec"
 	"strings"
 	"syscall"
 	"testing"
@@ -285,4 +288,51 @@ func TestExpectdAdminProtocol(t *testing.T) {
 		t.Errorf("missing drained-clean report:\n%s", d.joined())
 	}
 	conn.Close()
+}
+
+// TestExpectdSIGTERMRightAfterReady: "ready" promises a daemon that
+// drains on SIGTERM, so a supervisor may signal the instant it reads the
+// line. The signal handler must already be installed by then; otherwise
+// the default action kills the daemon undrained. The signal goes out from
+// the same loop that reads the raw pipe, with no buffering in between,
+// and a few daemons are tried to widen the window.
+func TestExpectdSIGTERMRightAfterReady(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the expectd binary: skipped under -short")
+	}
+	bin := buildExpectd(t)
+	for round := 0; round < 10; round++ {
+		cmd := exec.Command(bin, "-serve", "echo", "-mux", "127.0.0.1:0")
+		stdout, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd.Stderr = os.Stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		var out []byte
+		buf := make([]byte, 4096)
+		signalled := false
+		for {
+			n, err := stdout.Read(buf)
+			out = append(out, buf[:n]...)
+			if !signalled && bytes.Contains(out, []byte("expectd: ready\n")) {
+				if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+					t.Fatal(err)
+				}
+				signalled = true
+			}
+			if err != nil {
+				break
+			}
+		}
+		werr := cmd.Wait()
+		if !signalled {
+			t.Fatalf("round %d: expectd exited before ready (%v):\n%s", round, werr, out)
+		}
+		if werr != nil || !bytes.Contains(out, []byte("expectd: drained clean")) {
+			t.Fatalf("round %d: SIGTERM right after ready: exit %v, want a clean drain and exit 0:\n%s", round, werr, out)
+		}
+	}
 }

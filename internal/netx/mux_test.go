@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/netx/mux"
 	"repro/internal/proc"
 	"repro/internal/testutil"
 )
@@ -394,27 +395,32 @@ func TestMuxUnknownProgramRefused(t *testing.T) {
 }
 
 // TestMuxConnDeathFailsStreams: a gateway connection dying hard takes
-// its streams with it — each finishes with an error disposition, no
-// hangs, and the pool stops placing onto the dead connection.
+// its streams with it — each finishes with an error disposition on its
+// first Read/WaitStatus, no hangs, and the pool stops placing onto the
+// dead connection. The peer resets the connection only once the OPEN
+// frame has arrived and Open has returned, so the order is fixed.
 func TestMuxConnDeathFailsStreams(t *testing.T) {
 	defer testutil.LeakCheck(t, 10, 5*time.Second)()
-	// A raw listener that accepts and immediately RSTs after the first
-	// frame arrives.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	gotOpen := make(chan error, 1)
+	reset := make(chan struct{})
 	go func() {
 		c, err := ln.Accept()
 		if err != nil {
+			gotOpen <- err
 			return
 		}
-		buf := make([]byte, 64)
-		c.Read(buf)
-		if tc, ok := c.(*net.TCPConn); ok {
-			tc.SetLinger(0)
+		f, err := mux.NewDecoder(c).Next()
+		if err == nil && f.Type != mux.TypeOpen {
+			err = fmt.Errorf("first frame %s, want OPEN", f.Type)
 		}
+		gotOpen <- err
+		<-reset
+		c.(*net.TCPConn).SetLinger(0)
 		c.Close()
 	}()
 
@@ -424,13 +430,52 @@ func TestMuxConnDeathFailsStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Read(make([]byte, 8)); err == nil {
-		t.Fatal("read on a dead connection returned data")
+	if err := <-gotOpen; err != nil {
+		t.Fatal(err)
+	}
+	close(reset)
+	if _, err := st.Read(make([]byte, 8)); err == nil || err == io.EOF {
+		t.Fatalf("read on a reset connection = %v, want the wire error", err)
 	}
 	if status, _ := st.WaitStatus(); status != 1 {
 		t.Fatalf("dead-conn stream status = %d, want 1", status)
 	}
 	if got := pool.Conns(ln.Addr().String()); got != 0 {
+		t.Fatalf("dead connection still pooled: %d", got)
+	}
+}
+
+// TestMuxOpenOnDyingConn: a connection that dies between placement and
+// the OPEN write still yields a stream from Open; the death surfaces on
+// the stream, like any other. Poisoning the writer directly pins the
+// window in which the demux loop has failed the writer but not yet
+// swept the stream table.
+func TestMuxOpenOnDyingConn(t *testing.T) {
+	defer testutil.LeakCheck(t, 10, 5*time.Second)()
+	srv := startGateway(t, MuxServerOptions{})
+	defer srv.Shutdown(time.Second)
+	pool := NewMuxPool(MuxOptions{MaxConns: 1})
+	defer pool.Close()
+
+	first, err := pool.Open(srv.Addr(), "echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("connection died")
+	first.mc.w.fail(boom)
+	st, err := pool.Open(srv.Addr(), "echo")
+	if err != nil {
+		t.Fatalf("Open on a dying connection = %v, want the stream (death surfaces on Read)", err)
+	}
+	for _, s := range []*MuxStream{first, st} {
+		if _, err := s.Read(make([]byte, 8)); !errors.Is(err, boom) {
+			t.Fatalf("stream %d read = %v, want %v", s.ID(), err, boom)
+		}
+		if status, _ := s.WaitStatus(); status != 1 {
+			t.Fatalf("stream %d status = %d, want 1", s.ID(), status)
+		}
+	}
+	if got := pool.Conns(srv.Addr()); got != 0 {
 		t.Fatalf("dead connection still pooled: %d", got)
 	}
 }

@@ -163,9 +163,13 @@ func (p *MuxPool) Conns(addr string) int {
 
 // Open places a new session stream for program onto a pooled connection
 // to the gateway at addr, dialing one if no connection has capacity and
-// the per-address bound allows it. The OPEN is asynchronous: a gateway
-// refusal (quota, drain) surfaces as a *GoAwayError from the stream's
-// read side, promptly — never as a hang.
+// the per-address bound allows it. Open fails only on placement: a
+// closed pool, saturation, or a failed dial. The OPEN itself is
+// asynchronous: a gateway refusal (quota, drain) surfaces as a
+// *GoAwayError from the stream's read side, promptly — never as a hang —
+// and so does the connection dying after placement, even before the
+// OPEN reached the wire: the stream's first Read or WaitStatus reports
+// it as the error disposition.
 func (p *MuxPool) Open(addr, program string) (*MuxStream, error) {
 	p.mu.Lock()
 	if p.closed {
@@ -200,7 +204,7 @@ func (p *MuxPool) Open(addr, program string) (*MuxStream, error) {
 	p.opened++
 	p.mu.Unlock()
 
-	return mc.openStream(program)
+	return mc.openStream(program), nil
 }
 
 func (p *MuxPool) dial(addr string) (*muxConn, error) {
@@ -297,10 +301,12 @@ type muxConn struct {
 	downOnce sync.Once
 }
 
-// openStream registers a fresh stream id and sends the OPEN frame.
-func (mc *muxConn) openStream(program string) (*MuxStream, error) {
+// openStream registers a fresh stream id and sends the OPEN frame. A
+// failed send is not an error here: it tears the connection down, which
+// finishes the stream with the wire error (see Open).
+func (mc *muxConn) openStream(program string) *MuxStream {
 	st := &MuxStream{mc: mc, program: program, done: make(chan struct{})}
-	st.in.init(mc.p.opt.streamBuf(), mc.pool.Size(), false, mc.p.opt.Stats)
+	st.in.init(mc.p.opt.streamBuf(), mc.pool.Size(), mc.p.opt.Stats)
 	mc.smu.Lock()
 	id := mc.nextID
 	mc.nextID++
@@ -309,15 +315,14 @@ func (mc *muxConn) openStream(program string) (*MuxStream, error) {
 	mc.smu.Unlock()
 	payload := mux.AppendOpen(nil, program, mc.p.opt.Tenant)
 	if err := mc.writeFrame(mux.TypeOpen, 0, id, payload); err != nil {
-		// writeFrame's failure triggered teardown, which finishes (and
-		// releases the slot of) every registered stream — ours included
-		// unless we win the race to take it back.
+		// writeFrame's failure triggered teardown, which finishes every
+		// stream in the routing table — ours too, unless it registered
+		// after teardown swept the table; then it is still there to take.
 		if mc.take(id) != nil {
-			mc.p.releaseSlot(mc)
+			st.finish(err)
 		}
-		return nil, fmt.Errorf("netx: mux open %s: %w", program, err)
 	}
-	return st, nil
+	return st
 }
 
 func (mc *muxConn) writeFrame(t mux.Type, flags uint8, stream uint32, payload []byte) error {
@@ -365,7 +370,11 @@ func (mc *muxConn) readLoop() {
 			if st == nil {
 				continue // late frames after a local close are dropped
 			}
-			mc.deliver(st, f.Payload)
+			// The one inherent demux copy: from the inbox onward the
+			// payload's segments travel by ownership transfer. A full
+			// inbox parks here: see the head-of-line bound in the
+			// package comment.
+			st.in.putCopy(mc.pool, f.Payload)
 		case mux.TypeClose:
 			st := mc.take(f.Stream)
 			if st == nil {
@@ -392,24 +401,6 @@ func (mc *muxConn) readLoop() {
 			mc.teardown(fmt.Errorf("netx: protocol error: gateway sent %s frame", f.Type))
 			return
 		}
-	}
-}
-
-// deliver copies one DATA payload into leased segments and queues them
-// into the stream's inbox — the one inherent demux copy; from the inbox
-// onward the segment travels by ownership transfer. A full inbox parks
-// here: see the head-of-line bound in the package comment.
-func (mc *muxConn) deliver(st *MuxStream, p []byte) {
-	stats := mc.p.opt.Stats
-	for len(p) > 0 {
-		seg := mc.pool.Get()
-		k := copy(seg.buf, p)
-		seg.n = k
-		stats.AddCopied(k)
-		if !st.in.putSeg(seg) {
-			return // stream closed locally; remaining payload is discard
-		}
-		p = p[k:]
 	}
 }
 
@@ -536,9 +527,6 @@ func (st *MuxStream) TryReadOwned() (proc.Owned, bool, error) {
 	}
 	return g, ok, err
 }
-
-// OwnedEnabled reports that muxed ingest always runs the segment path.
-func (st *MuxStream) OwnedEnabled() bool { return true }
 
 // SetReadNotify installs the level-triggered doorbell.
 func (st *MuxStream) SetReadNotify(fn func()) { st.in.setNotify(fn) }

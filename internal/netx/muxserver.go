@@ -70,6 +70,7 @@ type MuxServer struct {
 	ln    net.Listener
 	progs map[string]proc.Program
 	opt   MuxServerOptions
+	pool  *SegmentPool // stdin segments, leased by the demux loops
 
 	mu       sync.Mutex
 	conns    map[*muxSrvConn]struct{}
@@ -101,6 +102,7 @@ func ServeMux(ln net.Listener, progs map[string]proc.Program, opt MuxServerOptio
 		ln:       ln,
 		progs:    progs,
 		opt:      opt,
+		pool:     poolFor(muxSegmentSize),
 		conns:    make(map[*muxSrvConn]struct{}),
 		tenants:  make(map[string]int),
 		refused:  make(map[string]uint64),
@@ -220,7 +222,9 @@ func (s *MuxServer) admit(sc *muxSrvConn, tenant, program string) (proc.Program,
 	return prog, ""
 }
 
-// release returns one stream's quota slots and scores it served.
+// release returns one stream's quota slots and scores it served. The
+// stream still counts toward the drain (streamWG) until its CLOSE frame
+// is written.
 func (s *MuxServer) release(sc *muxSrvConn, tenant string) {
 	s.mu.Lock()
 	s.active--
@@ -231,7 +235,6 @@ func (s *MuxServer) release(sc *muxSrvConn, tenant string) {
 	sc.live--
 	s.served++
 	s.mu.Unlock()
-	s.streamWG.Done()
 }
 
 // Shutdown is the GOAWAY-then-drain teardown (see the contract at the
@@ -314,7 +317,7 @@ type muxSrvConn struct {
 type muxSrvStream struct {
 	id      uint32
 	tenant  string
-	stdin   inbox       // legacy slab mode: demux copies in, program reads out
+	stdin   inbox       // demux copies in, program reads out
 	discard atomic.Bool // client cancelled: stop framing its output
 }
 
@@ -341,7 +344,7 @@ func (sc *muxSrvConn) readLoop() {
 			st := sc.streams[f.Stream]
 			sc.smu.Unlock()
 			if st != nil {
-				st.stdin.put(f.Payload) // blocks when full: TCP backpressure
+				st.stdin.putCopy(sc.s.pool, f.Payload) // blocks when full: TCP backpressure
 			}
 		case mux.TypeClose:
 			sc.smu.Lock()
@@ -389,7 +392,7 @@ func (sc *muxSrvConn) handleOpen(f mux.Frame) {
 		return
 	}
 	st := &muxSrvStream{id: f.Stream, tenant: tenant}
-	st.stdin.init(sc.s.opt.streamBuf(), 0, true, nil)
+	st.stdin.init(sc.s.opt.streamBuf(), sc.s.pool.Size(), nil)
 	sc.smu.Lock()
 	sc.streams[f.Stream] = st
 	sc.smu.Unlock()
@@ -415,8 +418,11 @@ func (sc *muxSrvConn) runStream(st *muxSrvStream, prog proc.Program) {
 		}
 		payload = []byte(msg)
 	}
-	sc.writeFrame(mux.TypeClose, flags, st.id, payload)
+	// Score the stream and free its quota slot before the client can see
+	// the CLOSE: a client that reopens on it must find the slot free.
 	sc.s.release(sc, st.tenant)
+	sc.writeFrame(mux.TypeClose, flags, st.id, payload)
+	sc.s.streamWG.Done()
 }
 
 // teardown ends the connection exactly once: every live stream's stdin

@@ -11,9 +11,7 @@
 // payload bytes between buffers. The per-connection reader goroutine is
 // itself optional: a deferred connection (DialDeferred/WrapDeferred) can
 // be registered with a shard's readiness Poller (poller_linux.go), which
-// reads many sockets from one loop via raw epoll. Options.Legacy keeps
-// the original copying slab inbox and eager reader goroutine as the
-// referee arm the E19 memguard gate measures the zero-copy path against.
+// reads many sockets from one loop via raw epoll.
 //
 // The division of timeout labor is deliberate and narrow: transport-level
 // read deadlines here are plumbing (a rolling poll so a quiet socket never
@@ -71,11 +69,6 @@ type Options struct {
 	// Pool supplies the segment pool reads lease from; nil uses a shared
 	// process-wide pool sized to the read chunk.
 	Pool *SegmentPool
-	// Legacy selects the original copying ingest path: a byte-slab inbox
-	// the reader copies into and TryRead copies out of, one eager reader
-	// goroutine per connection, no ownership transfer. It exists as the
-	// frozen referee arm for the E19 comparison and is never the default.
-	Legacy bool
 	// NoPoller keeps a zero-copy connection off any readiness Poller
 	// (Register refuses it), forcing the fallback reader goroutine. The
 	// conformance suite uses it to differentially test the two loops.
@@ -145,7 +138,6 @@ const (
 	modeDeferred int32 = iota // no ingest yet (DialDeferred/WrapDeferred)
 	modeReader                // fallback reader goroutine, pooled segments
 	modePolled                // a shard readiness Poller owns the fd
-	modeLegacy                // referee: reader goroutine + copying slab
 )
 
 // Conn is one endpoint of a socket-backed session. Its read side is owned
@@ -213,16 +205,11 @@ func Wrap(c net.Conn, opt Options) *Conn {
 // WrapDeferred adopts an established net.Conn without starting ingest;
 // see DialDeferred.
 func WrapDeferred(c net.Conn, opt Options) *Conn {
-	n := &Conn{c: c, opt: opt, done: make(chan struct{})}
-	segSize := 0
-	if !opt.Legacy {
-		n.pool = opt.Pool
-		if n.pool == nil {
-			n.pool = poolFor(opt.readChunk())
-		}
-		segSize = n.pool.Size()
+	n := &Conn{c: c, opt: opt, pool: opt.Pool, done: make(chan struct{})}
+	if n.pool == nil {
+		n.pool = poolFor(opt.readChunk())
 	}
-	n.in.init(opt.readBuf(), segSize, opt.Legacy, opt.Stats)
+	n.in.init(opt.readBuf(), n.pool.Size(), opt.Stats)
 	return n
 }
 
@@ -230,11 +217,7 @@ func WrapDeferred(c net.Conn, opt Options) *Conn {
 // the read side yet. It is idempotent and safe to race with a Poller
 // registration: exactly one producer wins.
 func (n *Conn) StartIngest() {
-	want := modeReader
-	if n.opt.Legacy {
-		want = modeLegacy
-	}
-	if n.mode.CompareAndSwap(modeDeferred, want) {
+	if n.mode.CompareAndSwap(modeDeferred, modeReader) {
 		go n.reader()
 	}
 }
@@ -252,43 +235,24 @@ func (n *Conn) finish(err error) {
 // the rolling poll deadline and the EOF/RST → disposition mapping. A
 // clean FIN or a local Close finishes the inbox with io.EOF; a reset (or
 // any other hard error) preserves the error so the session's exit
-// disposition reports what actually happened on the wire.
-//
-// In the default mode each read lands in a leased segment queued whole —
-// no copy; in Legacy mode it lands in a reusable scratch buffer the inbox
-// slab copies out of, reproducing the original data path byte for byte.
+// disposition reports what actually happened on the wire. Each read
+// lands in a leased segment queued whole — no copy.
 func (n *Conn) reader() {
 	poll := n.opt.pollInterval()
-	legacy := n.mode.Load() == modeLegacy
-	var scratch []byte
-	if legacy {
-		scratch = make([]byte, n.opt.readChunk())
-	}
 	for {
 		if poll > 0 {
 			n.c.SetReadDeadline(time.Now().Add(poll))
 		}
-		var k int
-		var err error
-		var seg *Segment
-		if legacy {
-			k, err = n.c.Read(scratch)
-			if k > 0 && !n.in.put(scratch[:k]) {
+		seg := n.pool.Get()
+		k, err := n.c.Read(seg.buf)
+		if k > 0 {
+			seg.n = k
+			if !n.in.putSeg(seg) {
 				n.finish(io.EOF) // read side torn down locally
 				return
 			}
 		} else {
-			seg = n.pool.Get()
-			k, err = n.c.Read(seg.buf)
-			if k > 0 {
-				seg.n = k
-				if !n.in.putSeg(seg) {
-					n.finish(io.EOF)
-					return
-				}
-			} else {
-				seg.Release()
-			}
+			seg.Release()
 		}
 		if err == nil {
 			continue
@@ -358,11 +322,6 @@ func (n *Conn) TryReadOwned() (proc.Owned, bool, error) {
 	return g, ok, err
 }
 
-// OwnedEnabled reports whether this connection actually runs the
-// ownership-transfer path; a Legacy connection implements the method set
-// but copies internally, and the engine must not treat it as zero-copy.
-func (n *Conn) OwnedEnabled() bool { return !n.opt.Legacy }
-
 // SetReadNotify installs the level-triggered doorbell: fn runs whenever
 // bytes become readable or the stream finishes. Bytes queued before
 // installation do not ring it; callers sweep once after installing.
@@ -413,7 +372,7 @@ func (n *Conn) Close() error {
 		n.in.closeRead()
 		n.closeErr = n.c.Close()
 		n.pollDetach()
-		if m := n.mode.Load(); m != modeReader && m != modeLegacy {
+		if n.mode.Load() != modeReader {
 			n.finish(io.EOF)
 		}
 	})
@@ -452,29 +411,20 @@ func (n *Conn) WaitStatus() (int, error) {
 // RemoteAddr reports the peer address.
 func (n *Conn) RemoteAddr() net.Addr { return n.c.RemoteAddr() }
 
-// inbox is the bounded queue between the socket's producer and the
-// engine, with the same level-triggered doorbell semantics as the virtual
-// transport's memPipe: TryRead that never blocks, a notify callback rung
-// (under mu) per queued chunk and at finish, and producer backpressure
-// once max bytes are queued.
-//
-// Two storage modes. The default is a queue of owned segments: putSeg
+// inbox is the bounded queue of owned segments between a stream's
+// producer and its reader, with the same level-triggered doorbell
+// semantics as the virtual transport's memPipe: TryRead that never
+// blocks, a notify callback rung (under mu) per queued segment and at
+// finish, and producer backpressure once max bytes are queued. putSeg
 // enqueues a leased segment whole, tryTake dequeues one whole, and the
 // copying read/tryRead paths advance through segment fronts, releasing
-// each segment to its pool as it drains. Legacy mode is the original byte
-// slab the producer copies into and readers copy out of — preserved
-// verbatim (including its realloc-per-put behaviour once tryRead nils the
-// emptied slab) as the frozen referee the E19 memguard gate measures the
-// segment path against; "fixing" it would erase the baseline.
+// each segment to its pool as it drains.
 type inbox struct {
-	mu     sync.Mutex
-	data   *sync.Cond
-	space  *sync.Cond
-	max    int
-	stats  *metrics.IngestStats
-	legacy bool
-
-	buf []byte // legacy slab
+	mu    sync.Mutex
+	data  *sync.Cond
+	space *sync.Cond
+	max   int
+	stats *metrics.IngestStats
 
 	segs   []*Segment // segment queue; segs[head:] are live
 	head   int
@@ -488,60 +438,18 @@ type inbox struct {
 	spaceFn func() // poller re-arm hook, invoked outside mu
 }
 
-func (q *inbox) init(max, segSize int, legacy bool, stats *metrics.IngestStats) {
+func (q *inbox) init(max, segSize int, stats *metrics.IngestStats) {
 	if max < 1 {
 		max = 1
 	}
 	q.max = max
-	q.legacy = legacy
 	q.stats = stats
-	if segSize > 0 {
-		q.segCap = max/segSize + 1
-		if q.segCap < 2 {
-			q.segCap = 2
-		}
+	q.segCap = max/segSize + 1
+	if q.segCap < 2 {
+		q.segCap = 2
 	}
 	q.data = sync.NewCond(&q.mu)
 	q.space = sync.NewCond(&q.mu)
-}
-
-// put queues a chunk by copying it into the legacy slab, blocking while
-// the inbox is full. It reports false once the read side is gone and the
-// reader should stop. Segment-mode connections never call it.
-func (q *inbox) put(b []byte) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(b) > 0 {
-		if q.closed || q.fin {
-			return false
-		}
-		for len(q.buf) >= q.max {
-			q.space.Wait()
-			if q.closed || q.fin {
-				return false
-			}
-		}
-		room := q.max - len(q.buf)
-		chunk := b
-		if len(chunk) > room {
-			chunk = chunk[:room]
-		}
-		capBefore := cap(q.buf)
-		q.buf = append(q.buf, chunk...)
-		if cap(q.buf) != capBefore {
-			q.stats.AddAlloc()
-		}
-		q.stats.AddCopied(len(chunk))
-		b = b[len(chunk):]
-		q.data.Broadcast()
-		// Ring per chunk, under mu: a reader parked on space has already
-		// made bytes readable, and a doorbell deferred to return time
-		// would deadlock the engine loop against the socket reader.
-		if q.notify != nil {
-			q.notify()
-		}
-	}
-	return true
 }
 
 // putSeg queues a leased segment whole — ownership moves to the inbox, no
@@ -568,6 +476,24 @@ func (q *inbox) putSeg(g *Segment) bool {
 		q.notify()
 	}
 	q.mu.Unlock()
+	return true
+}
+
+// putCopy copies p into segments leased from pool and queues them,
+// blocking while the inbox is full — the one copy a mux demux loop makes
+// out of its frame buffer. On false the read side is gone and the rest of
+// p is discarded.
+func (q *inbox) putCopy(pool *SegmentPool, p []byte) bool {
+	for len(p) > 0 {
+		seg := pool.Get()
+		k := copy(seg.buf, p)
+		seg.n = k
+		q.stats.AddCopied(k)
+		if !q.putSeg(seg) {
+			return false
+		}
+		p = p[k:]
+	}
 	return true
 }
 
@@ -647,7 +573,6 @@ func (q *inbox) finish(err error) {
 func (q *inbox) closeRead() {
 	q.mu.Lock()
 	q.closed = true
-	q.buf = nil
 	for i := q.head; i < len(q.segs); i++ {
 		q.segs[i].Release()
 		q.segs[i] = nil
@@ -667,26 +592,6 @@ func (q *inbox) closeRead() {
 
 func (q *inbox) read(b []byte) (int, error) {
 	q.mu.Lock()
-	if q.legacy {
-		defer q.mu.Unlock()
-		for len(q.buf) == 0 {
-			if q.fin {
-				if q.err == nil {
-					return 0, io.EOF
-				}
-				return 0, q.err
-			}
-			q.data.Wait()
-		}
-		n := copy(b, q.buf)
-		q.stats.AddCopied(n)
-		q.buf = q.buf[n:]
-		if len(q.buf) == 0 {
-			q.buf = nil
-		}
-		q.space.Broadcast()
-		return n, nil
-	}
 	for q.total == 0 {
 		if q.fin {
 			err := q.err
@@ -711,26 +616,6 @@ func (q *inbox) read(b []byte) (int, error) {
 
 func (q *inbox) tryRead(b []byte) (int, bool, error) {
 	q.mu.Lock()
-	if q.legacy {
-		defer q.mu.Unlock()
-		if len(q.buf) == 0 {
-			if q.fin {
-				if q.err == nil {
-					return 0, true, io.EOF
-				}
-				return 0, true, q.err
-			}
-			return 0, false, nil
-		}
-		n := copy(b, q.buf)
-		q.stats.AddCopied(n)
-		q.buf = q.buf[n:]
-		if len(q.buf) == 0 {
-			q.buf = nil
-		}
-		q.space.Broadcast()
-		return n, true, nil
-	}
 	if q.total == 0 {
 		fin, err := q.fin, q.err
 		q.mu.Unlock()
@@ -754,17 +639,12 @@ func (q *inbox) tryRead(b []byte) (int, bool, error) {
 }
 
 // tryTake dequeues the front segment whole, moving its ownership to the
-// caller. Same contract shape as tryRead; legacy inboxes always report
-// not-ready so a misrouted caller falls back to the copying drain.
+// caller. Same contract shape as tryRead.
 func (q *inbox) tryTake() (*Segment, bool, error) {
 	q.mu.Lock()
-	if q.legacy || q.total == 0 {
+	if q.total == 0 {
 		fin, err := q.fin, q.err
-		legacy, buffered := q.legacy, len(q.buf) > 0
 		q.mu.Unlock()
-		if legacy && buffered {
-			return nil, false, nil
-		}
 		if fin {
 			if err == nil {
 				err = io.EOF

@@ -93,7 +93,7 @@ func NewPoller() (*Poller, error) {
 // ErrPollerUnavailable (or any registration failure) the connection is
 // left deferred and the caller should StartIngest the fallback reader.
 func (p *Poller) Register(n *Conn) error {
-	if n.opt.Legacy || n.opt.NoPoller {
+	if n.opt.NoPoller {
 		return ErrPollerUnavailable
 	}
 	sc, ok := n.c.(syscall.Conn)

@@ -167,9 +167,9 @@ func TestPollerBackpressureRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPollerRefusesIneligible: legacy and NoPoller connections must be
-// declined with ErrPollerUnavailable, leaving them deferred so the
-// caller's fallback (StartIngest) still works.
+// TestPollerRefusesIneligible: NoPoller connections must be declined
+// with ErrPollerUnavailable, leaving them deferred so the caller's
+// fallback (StartIngest) still works.
 func TestPollerRefusesIneligible(t *testing.T) {
 	defer testutil.LeakCheck(t, 10, 5*time.Second)()
 	srv, err := NewServer("127.0.0.1:0", func(stdin io.Reader, stdout io.Writer) error {
@@ -194,7 +194,6 @@ func TestPollerRefusesIneligible(t *testing.T) {
 		name string
 		opt  Options
 	}{
-		{"legacy", Options{Legacy: true}},
 		{"nopoller", Options{NoPoller: true}},
 	} {
 		nc, err := DialDeferred(srv.Addr(), tc.opt)

@@ -55,7 +55,7 @@ func (g *Segment) Release() {
 
 // SegmentPool is a bounded free list of fixed-capacity read segments.
 // It is deliberately a plain locked list rather than a sync.Pool: leases
-// and reuses are counted for the E19 memguard gate, and a bounded list
+// and reuses are counted for E19's guards, and a bounded list
 // gives a hard memory ceiling instead of GC-pressure heuristics.
 type SegmentPool struct {
 	size  int

@@ -40,9 +40,8 @@ type contractLeg struct {
 	// errors (EIO) when the child side hangs up.
 	cleanEOF bool
 	// owned: the transport hands chunks over by ownership transfer
-	// (TryReadOwned) instead of copying. Only the segment-mode socket
-	// qualifies; a legacy socket implements the methods but must decline
-	// via OwnedEnabled.
+	// (TryReadOwned) instead of copying. Only the socket transports
+	// (one-conn and muxed) qualify.
 	owned bool
 }
 
@@ -112,34 +111,6 @@ func contractLegs() []contractLeg {
 				}
 			},
 			halfClose: true, event: true, cleanEOF: true, owned: true,
-		},
-		{
-			// The frozen copying referee: same socket, same contract,
-			// but chunks cross a byte slab instead of moving whole — it
-			// must refuse the zero-copy capability at runtime.
-			name: "socket-legacy",
-			spawn: func(t *testing.T, opt proc.Options) (*proc.Process, func()) {
-				srv, err := netx.NewServer("127.0.0.1:0", func(stdin io.Reader, stdout io.Writer) error {
-					io.Copy(stdout, stdin)
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				nc, err := netx.Dial(srv.Addr(), netx.Options{Legacy: true})
-				if err != nil {
-					srv.Shutdown(0)
-					t.Fatal(err)
-				}
-				p := proc.SpawnStream("cat", proc.KindNetwork, nc, nc.WaitStatus, opt)
-				return p, func() {
-					p.Close()
-					if !srv.Shutdown(5 * time.Second) {
-						t.Error("loopback server did not drain clean")
-					}
-				}
-			},
-			halfClose: true, event: true, cleanEOF: true, owned: false,
 		},
 		{
 			// A session multiplexed over a pooled gateway connection: the

@@ -71,6 +71,11 @@ go test -race -count=1 ./internal/netx/mux ./internal/netx
 go test -race -count=1 -run 'TestTransportContract/mux|TestConformanceScenarios' ./internal/proc ./internal/conformance
 go test -race -count=1 -run 'TestMuxModeConservation|TestMuxCrashRecoverySoak' ./internal/load
 
+# Flake-hunting leg: the socket and gateway batteries twenty times over
+# under the race detector, so a once-in-thirty ordering bug fails here
+# instead of slipping through single runs.
+go test -race -count=20 ./internal/netx ./internal/netx/mux
+
 # Fuzz smoke: a short budget per differential target. The real corpora
 # live in testdata/fuzz/ and always run as plain tests above; this adds a
 # few CPU-minutes of fresh exploration to every gate.
@@ -82,47 +87,50 @@ go test -race -fuzz=FuzzShardHash -fuzztime=10s ./internal/core
 go test -race -fuzz=FuzzJournalRoundTrip -fuzztime=10s ./internal/trace
 go test -race -fuzz=FuzzMuxFrameRoundTrip -fuzztime=10s ./internal/netx/mux
 
+# Benchmark snapshots + guards. Every experiment declares its guards on
+# its result (internal/experiments, pinned by TestDeclaredGuards), and
+# benchreport fails if any guard of an experiment it ran is crossed; a
+# guard against a committed snapshot reads it before -json rewrites it.
+#
 # Perf snapshot + trace-overhead guard: regenerate the hot-path benchmarks
 # (E15: eval/glob/gap-buffer) and the flight-recorder overhead + latency
-# histograms (E16) into BENCH_3.json, and fail if a present-but-disabled
-# recorder costs the expect hot loop more than 2% per wakeup.
-go run ./cmd/benchreport -exp e15,e16 -json BENCH_3.json -guard 2
+# histograms (E16) into BENCH_3.json; a present-but-disabled recorder may
+# cost the expect hot loop at most 2% per wakeup.
+go run ./cmd/benchreport -exp e15,e16 -json BENCH_3.json
 
 # Shard-scaling snapshot + tail-latency guard: rerun the E17 session
-# sweep against the committed BENCH_4.json and fail if the 1k-session
-# sharded p99 wakeup-to-match latency regressed by more than 10%, then
-# refresh the snapshot.
-go run ./cmd/benchreport -exp e17 -baseline BENCH_4.json -p99guard 10 -json BENCH_4.json
+# sweep; the 1k-session sharded p99 wakeup-to-match latency may regress
+# at most 10% against the committed BENCH_4.json, which is then refreshed.
+go run ./cmd/benchreport -exp e17 -json BENCH_4.json
 
 # Network-scaling snapshot + guard: build expectd, run the E18 loopback
 # socket sweep (64 → 10k sessions against one daemon), require the
-# daemon to drain clean on SIGTERM, and fail if 10k sharded costs more
-# than 2x the 64-session goroutine baseline per dialogue.
-go run ./cmd/benchreport -exp e18 -json BENCH_5.json -netguard 2
+# daemon to drain clean on SIGTERM; 10k sharded may cost at most 2x the
+# 64-session goroutine baseline per dialogue.
+go run ./cmd/benchreport -exp e18 -json BENCH_5.json
 
 # Zero-copy ingest snapshot + guards: rerun the socket sweep on the
-# segment-ownership path against the frozen copying referee. memguard:
-# copied bytes and ingest allocations per dialogue at 10k sharded
-# sessions must both drop >= 40% vs legacy. goroguard: ingest goroutines
-# at 10k connections stay O(shards) — at most 256 above the drivers,
-# not one reader per connection.
-go run ./cmd/benchreport -exp e19 -json BENCH_6.json -memguard 40 -goroguard 256
+# segment-ownership path. Copied bytes and ingest allocations per
+# dialogue at 10k sharded sessions must each sit >= 40% below the
+# recorded copying-ingest cell; ingest goroutines at 10k connections stay
+# O(shards) — at most 256 above the drivers, not one reader per
+# connection.
+go run ./cmd/benchreport -exp e19 -json BENCH_6.json
 
 # Replay economics snapshot + guards: rerun the E20 journal/checkpoint
-# pricing. replayguard: a journal-armed soak may cost at most 10% more
-# per dialogue than ring-only. ckptguard: the checkpoint/restore
-# round-trip p99 may not regress more than 25% against the committed
-# BENCH_7.json, then refresh the snapshot.
-go run ./cmd/benchreport -exp e20 -baseline BENCH_7.json -replayguard 10 -ckptguard 25 -json BENCH_7.json
+# pricing. A journal-armed soak may cost at most 10% more per dialogue
+# than ring-only; the checkpoint/restore round-trip p99 may regress at
+# most 25% against the committed BENCH_7.json, which is then refreshed.
+go run ./cmd/benchreport -exp e20 -json BENCH_7.json
 
 # Telemetry plane leg: the registry/exposition unit tier and the admin
-# endpoint battery under the race detector, then the two end-to-end
-# checks — /debug/sessions agreeing with the load workbench's
-# conservation law at a parked instant, and the expectd admin protocol
-# (admin line before ready, plane readable mid-drain, listener closed
-# last).
+# endpoint battery under the race detector, then the end-to-end checks —
+# /debug/sessions agreeing with the load workbench's conservation law at
+# a parked instant, the expectd admin protocol (admin line before ready,
+# plane readable mid-drain, listener closed last), and a SIGTERM sent the
+# instant expectd prints ready still draining clean.
 go test -race -count=1 ./internal/metrics ./internal/admin
-go test -race -count=1 -run 'TestAdminSessionsConservation|TestExpectdAdminProtocol' ./internal/load
+go test -race -count=1 -run 'TestAdminSessionsConservation|TestExpectdAdminProtocol|TestExpectdSIGTERMRightAfterReady' ./internal/load
 
 # Live-daemon curl leg: boot expectd with -admin, scrape /metrics and
 # /debug/sessions with curl against the advertised address, and require
@@ -143,22 +151,21 @@ kill -TERM "$epid"
 wait "$epid"
 rm -rf "$tmpd"
 
-# Telemetry economics snapshot + guard: rerun the E21 pricing into
-# BENCH_8.json. statsguard: scraping /metrics at 1 Hz may cost at most
-# 3% per dialogue, and an armed-but-unscraped plane at most a third of
-# that (1%).
-go run ./cmd/benchreport -exp e21 -json BENCH_8.json -statsguard 3
+# Telemetry economics snapshot + guards: rerun the E21 pricing into
+# BENCH_8.json. Scraping /metrics at 1 Hz may cost at most 3% per
+# dialogue, and an armed-but-unscraped plane at most 1%.
+go run ./cmd/benchreport -exp e21 -json BENCH_8.json
 
-# Bytecode-vm economics snapshot + guard: rerun the E22 pricing into
-# BENCH_9.json. vmguard: the vm must stay at least 3x faster than the
-# cached evaluator on the E15 eval and expr benchmarks, and its
-# differential sweep must show zero divergences from the classic referee.
-go run ./cmd/benchreport -exp e22 -json BENCH_9.json -vmguard 3
+# Bytecode-vm economics snapshot + guards: rerun the E22 pricing into
+# BENCH_9.json. The vm must stay at least 3x faster than the cached
+# evaluator on the E15 eval and expr benchmarks, and its differential
+# sweep must show zero divergences from the classic referee.
+go run ./cmd/benchreport -exp e22 -json BENCH_9.json
 
 # Gateway-scaling snapshot + guard: build expectd, start two -mux
 # gateway processes, and drive the E23 sweep — 100k concurrent sessions
 # multiplexed over ≤64 pooled TCP connections per process — into
-# BENCH_10.json. muxguard: the 100k-session per-dialogue cost may be at
-# most 2x the committed 10k one-socket-per-session baseline (BENCH_5's
-# E18 sharded cell), and both gateways must drain clean on SIGTERM.
-go run ./cmd/benchreport -exp e23 -json BENCH_10.json -muxguard 2
+# BENCH_10.json. The 100k-session per-dialogue cost may be at most 2x
+# the 10k one-socket-per-session baseline (BENCH_5's E18 sharded cell),
+# and both gateways must drain clean on SIGTERM.
+go run ./cmd/benchreport -exp e23 -json BENCH_10.json
