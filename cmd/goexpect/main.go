@@ -12,10 +12,6 @@
 //	goexpect -shards N script          own sessions with N sharded event
 //	                                   loops instead of one pump
 //	                                   goroutine per session
-//	goexpect -evalmode vm script       pick the Tcl evaluation engine:
-//	                                   classic (re-parse everything),
-//	                                   cached (default), or vm (register
-//	                                   bytecode with inline caches)
 //	goexpect -sims script              make the simulated programs
 //	                                   (rogue-sim, chess-sim, eliza-sim,
 //	                                   fsck-sim, tip-sim, passwd-sim,
@@ -97,7 +93,6 @@ func run() int {
 		quiet      = flag.Bool("q", false, "start with log_user 0 (script output only)")
 		timeout    = flag.Int("timeout", 0, "override the initial timeout variable (seconds; 0 keeps the default 10)")
 		shards     = flag.Int("shards", 0, "run sessions under a sharded scheduler with this many event loops (0 = one pump goroutine per session)")
-		evalmode   = flag.String("evalmode", "cached", `Tcl evaluation engine: "classic", "cached", or "vm"`)
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile taken at exit to this file")
 		stats      = flag.Bool("stats", false, "print an engine metrics summary (sessions, phase shares, latency percentiles) on stderr at exit")
@@ -137,16 +132,11 @@ func run() int {
 	if *network {
 		*transport = "network"
 	}
-	if _, ok := tcl.ParseEvalMode(*evalmode); !ok {
-		fmt.Fprintf(os.Stderr, "goexpect: -evalmode: unknown mode %q (want classic, cached, or vm)\n", *evalmode)
-		return 2
-	}
 	logUser := !*quiet
 	opts := core.EngineOptions{
 		Transport: *transport,
 		LogUser:   &logUser,
 		Shards:    *shards,
-		EvalMode:  *evalmode,
 	}
 	if *stats {
 		// -stats needs a profiler from the first spawn so the phase and
@@ -163,7 +153,7 @@ func run() int {
 	if diag > 0 {
 		// Same switch the script-level exp_internal command flips; the
 		// flag just turns it on before the first spawn.
-		eng.Recorder().SetDiag(int(diag), os.Stderr)
+		eng.SetDiag(int(diag), os.Stderr)
 	}
 	if *sims {
 		registerSims(eng)

@@ -477,6 +477,29 @@ func TestGoexpectTimeoutFlag(t *testing.T) {
 	}
 }
 
+// TestGoexpectDiagDispatch pins which diagnostics level arms per-command
+// timing: -diag=2 narrates every Tcl dispatch, -diag=1 narrates none.
+func TestGoexpectDiagDispatch(t *testing.T) {
+	dir := buildBinaries(t)
+	for _, tc := range []struct {
+		level string
+		want  bool
+	}{{"2", true}, {"1", false}} {
+		cmd := exec.Command(filepath.Join(dir, "goexpect"),
+			"-diag="+tc.level, "-c", `set x 1; send_user "x=$x\n"`)
+		var out bytes.Buffer
+		cmd.Stdout = &out
+		cmd.Stderr = &out
+		cmd.Stdin = strings.NewReader("")
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("goexpect -diag=%s: %v\n%s", tc.level, err, out.String())
+		}
+		if got := strings.Contains(out.String(), "tcl: dispatch set"); got != tc.want {
+			t.Errorf("-diag=%s: dispatch line present = %v, want %v:\n%s", tc.level, got, tc.want, out.String())
+		}
+	}
+}
+
 // TestElizaDuetScript runs the §5.8 duet through the script engine's
 // combined machinery (spawn_id switching + regexp patterns).
 func TestElizaDuetScript(t *testing.T) {

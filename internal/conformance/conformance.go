@@ -1,7 +1,7 @@
 // Package conformance is the differential harness: it replays the shipped
 // scripts/*.exp and a table of engine scenarios through every engine
-// variant (rescan vs incremental matching × the classic/cached/vm Tcl
-// evaluation modes) and through clean vs deterministically-faultified
+// variant (rescan vs incremental matching × the classic Tcl referee and
+// the vm, watched or not) and through clean vs deterministically-faultified
 // transports (internal/faultify), then asserts that the observable
 // outcomes are identical.
 //
@@ -51,14 +51,18 @@ type Variant struct {
 	// Matcher selects the glob scan strategy (rescan is the seed
 	// baseline; incremental is the NFA-feeding optimisation).
 	Matcher core.MatcherMode
-	// EvalCacheSize is passed to Interp.SetEvalCacheSize; 0 restores the
-	// classic parse-as-you-evaluate path.
+	// EvalCacheSize is passed to Interp.SetEvalCacheSize: > 0 runs the
+	// register-bytecode vm, the production evaluator; 0 restores the
+	// classic parse-as-you-evaluate walker, the frozen referee. The vm
+	// must be observably identical to the classic walker on every script,
+	// scenario, and fault schedule.
 	EvalCacheSize int
-	// EvalMode, when non-empty, selects the interpreter's evaluation
-	// engine ("classic", "cached", or "vm" — see tcl.ParseEvalMode). The
-	// register-bytecode vm must be observably identical to the classic
-	// walker on every script, scenario, and fault schedule.
-	EvalMode string
+	// Profiled attaches a profiler to the engine, which arms the Tcl
+	// dispatch hook for its eval-dispatch histogram. An armed hook turns
+	// every specialized vm site back into generic dispatch, so profiled
+	// cells cover the vm path that goexpect -stats and exp_internal 2
+	// run, and unprofiled cells the path every other engine runs.
+	Profiled bool
 	// Shards > 0 runs the engine's sessions under a sharded scheduler
 	// with that many event loops instead of per-session pump goroutines.
 	Shards int
@@ -80,28 +84,31 @@ type Variant struct {
 	Mux bool
 }
 
-// Variants is the full matrix: both matchers × the three evaluation
-// modes, plus the sharded-scheduler cells (shard counts pinned
-// explicitly — the default would collapse to GOMAXPROCS). Variants[0]
-// is the seed-faithful baseline every other cell is compared against.
+// Variants is the full matrix: both matchers × the two evaluators, plus
+// the sharded-scheduler, socket and gateway cells (shard counts pinned
+// explicitly — the default would collapse to GOMAXPROCS). Variants[0],
+// the classic walker on the rescan matcher, is the seed-faithful
+// baseline every other cell is compared against. Every other cell runs
+// the vm: the -vm cells as an unwatched engine does, the -cached cells
+// (named for the compile cache the vm runs from) with a profiler armed.
 var Variants = []Variant{
-	{Name: "rescan-cached", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize},
-	{Name: "incremental-cached", Matcher: core.MatcherIncremental, EvalCacheSize: tcl.DefaultEvalCacheSize},
-	{Name: "rescan-classic", Matcher: core.MatcherRescan, EvalMode: "classic"},
-	{Name: "incremental-classic", Matcher: core.MatcherIncremental, EvalMode: "classic"},
-	{Name: "rescan-vm", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm"},
-	{Name: "incremental-vm", Matcher: core.MatcherIncremental, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm"},
-	{Name: "rescan-cached-shard1", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Shards: 1},
-	{Name: "rescan-cached-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Shards: 8},
-	{Name: "incremental-cached-shard8", Matcher: core.MatcherIncremental, EvalCacheSize: tcl.DefaultEvalCacheSize, Shards: 8},
-	{Name: "rescan-vm-shard1", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm", Shards: 1},
-	{Name: "rescan-vm-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm", Shards: 8},
-	{Name: "rescan-cached-net", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Network: true},
-	{Name: "rescan-cached-net-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Shards: 8, Network: true},
-	{Name: "rescan-vm-net", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm", Network: true},
-	{Name: "rescan-cached-mux", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Mux: true},
-	{Name: "rescan-cached-mux-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Shards: 8, Mux: true},
-	{Name: "rescan-vm-mux", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm", Mux: true},
+	{Name: "rescan-classic", Matcher: core.MatcherRescan},
+	{Name: "incremental-classic", Matcher: core.MatcherIncremental},
+	{Name: "rescan-cached", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Profiled: true},
+	{Name: "incremental-cached", Matcher: core.MatcherIncremental, EvalCacheSize: tcl.DefaultEvalCacheSize, Profiled: true},
+	{Name: "rescan-vm", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize},
+	{Name: "incremental-vm", Matcher: core.MatcherIncremental, EvalCacheSize: tcl.DefaultEvalCacheSize},
+	{Name: "rescan-cached-shard1", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Profiled: true, Shards: 1},
+	{Name: "rescan-cached-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Profiled: true, Shards: 8},
+	{Name: "incremental-cached-shard8", Matcher: core.MatcherIncremental, EvalCacheSize: tcl.DefaultEvalCacheSize, Profiled: true, Shards: 8},
+	{Name: "rescan-vm-shard1", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Shards: 1},
+	{Name: "rescan-vm-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Shards: 8},
+	{Name: "rescan-cached-net", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Profiled: true, Network: true},
+	{Name: "rescan-cached-net-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Profiled: true, Shards: 8, Network: true},
+	{Name: "rescan-vm-net", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Network: true},
+	{Name: "rescan-cached-mux", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Profiled: true, Mux: true},
+	{Name: "rescan-cached-mux-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Profiled: true, Shards: 8, Mux: true},
+	{Name: "rescan-vm-mux", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Mux: true},
 }
 
 // Condition names one transport treatment. A Clean schedule means the
@@ -389,14 +396,14 @@ func RunScript(scriptsDir string, sc ScriptCase, v Variant, sched faultify.Sched
 		Rec:      rec,
 		Shards:   v.Shards,
 	}
+	if v.Profiled {
+		opts.Prof = metrics.NewProfiler()
+	}
 	if !sched.Clean() {
 		opts.SpawnWrap = faultify.TracedWrapper(sched, counters, rec)
 	}
 	eng := core.NewEngine(opts)
 	eng.Interp.SetEvalCacheSize(v.EvalCacheSize)
-	if m, ok := tcl.ParseEvalMode(v.EvalMode); ok {
-		eng.Interp.SetEvalMode(m)
-	}
 	servers, err := registerDeterministicSims(eng, v)
 	if err != nil {
 		return nil, err

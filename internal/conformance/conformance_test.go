@@ -15,8 +15,9 @@ const scriptsDir = "../../scripts"
 
 // TestConformanceScripts replays every shipped script through the full
 // variant × condition matrix and requires each cell's outcome to be
-// identical to the seed-faithful baseline (rescan matcher, cached eval,
-// clean transport).
+// identical to the seed-faithful baseline (rescan matcher, classic eval,
+// clean transport). The baseline's own clean cell is a rerun, so it pins
+// run-to-run determinism.
 func TestConformanceScripts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("script matrix is wall-clock heavy (callback.exp sleeps 4s per cell)")
@@ -34,9 +35,6 @@ func TestConformanceScripts(t *testing.T) {
 			}
 			for _, v := range Variants {
 				for _, cond := range Conditions {
-					if v.Name == Variants[0].Name && cond.Name == Conditions[0].Name {
-						continue // the baseline itself
-					}
 					v, cond := v, cond
 					t.Run(v.Name+"/"+cond.Name, func(t *testing.T) {
 						t.Parallel()
@@ -60,22 +58,24 @@ func TestConformanceScripts(t *testing.T) {
 }
 
 // TestConformanceScriptedScenarios replays the interpreter-heavy
-// testdata fixtures across the three evaluation modes × every fault
-// schedule × scheduler shapes (including the shard1/shard8 legs),
-// anchored to the classic evaluator — the frozen referee — as baseline.
-// The fixtures compute each sent byte in Tcl, so a vm miscompile shows
-// up as a transcript or exit divergence here, not just in unit tests.
+// testdata fixtures across the evaluators (classic, vm with a profiler
+// armed as the -cached cells, vm unwatched) × every fault schedule ×
+// scheduler shapes (including the shard1/shard8 legs), anchored to the
+// classic evaluator — the frozen referee — as baseline. The fixtures
+// compute each sent byte in Tcl, so a vm miscompile shows up as a
+// transcript or exit divergence here, not just in unit tests.
 func TestConformanceScriptedScenarios(t *testing.T) {
+	const size = tcl.DefaultEvalCacheSize
 	variants := []Variant{
-		{Name: "classic", Matcher: core.MatcherRescan, EvalMode: "classic"},
-		{Name: "cached", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached"},
-		{Name: "vm", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm"},
-		{Name: "classic-shard1", Matcher: core.MatcherRescan, EvalMode: "classic", Shards: 1},
-		{Name: "cached-shard1", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached", Shards: 1},
-		{Name: "vm-shard1", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm", Shards: 1},
-		{Name: "classic-shard8", Matcher: core.MatcherRescan, EvalMode: "classic", Shards: 8},
-		{Name: "cached-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached", Shards: 8},
-		{Name: "vm-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm", Shards: 8},
+		{Name: "classic", Matcher: core.MatcherRescan},
+		{Name: "cached", Matcher: core.MatcherRescan, EvalCacheSize: size, Profiled: true},
+		{Name: "vm", Matcher: core.MatcherRescan, EvalCacheSize: size},
+		{Name: "classic-shard1", Matcher: core.MatcherRescan, Shards: 1},
+		{Name: "cached-shard1", Matcher: core.MatcherRescan, EvalCacheSize: size, Profiled: true, Shards: 1},
+		{Name: "vm-shard1", Matcher: core.MatcherRescan, EvalCacheSize: size, Shards: 1},
+		{Name: "classic-shard8", Matcher: core.MatcherRescan, Shards: 8},
+		{Name: "cached-shard8", Matcher: core.MatcherRescan, EvalCacheSize: size, Profiled: true, Shards: 8},
+		{Name: "vm-shard8", Matcher: core.MatcherRescan, EvalCacheSize: size, Shards: 8},
 	}
 	for _, sc := range ScriptedScenarios {
 		sc := sc

@@ -41,7 +41,8 @@ func registerExpectCommands(e *Engine) {
 // output, the paper-era debugging aid that narrates the dialogue: every
 // chunk received and every pattern attempt with its verdict. 0 silences
 // the narration (the flight recorder keeps running), 1 shows the dialogue
-// view, 2 additionally shows sends, eval dispatches, timers, and faults.
+// view, 2 additionally shows sends, eval dispatches, timers, and faults;
+// only level 2 arms the per-command dispatch hook (Engine.SetDiag).
 func (e *Engine) cmdExpInternal(i *tcl.Interp, args []string) tcl.Result {
 	if len(args) != 2 {
 		return tcl.Errf(`wrong # args: should be "exp_internal 0|1|2"`)
@@ -50,7 +51,7 @@ func (e *Engine) cmdExpInternal(i *tcl.Interp, args []string) tcl.Result {
 	if err != nil || n < 0 || n > 2 {
 		return tcl.Errf("exp_internal: expected 0, 1, or 2, got %q", args[1])
 	}
-	e.rec.SetDiag(n, i.Stderr)
+	e.SetDiag(n, i.Stderr)
 	return tcl.Ok("")
 }
 

@@ -70,7 +70,8 @@ type EngineOptions struct {
 	// UserIn/UserOut are the user's terminal (default os.Stdin/os.Stdout).
 	UserIn  io.Reader
 	UserOut io.Writer
-	// Prof receives phase timings.
+	// Prof receives phase timings. A non-nil profiler also arms the Tcl
+	// dispatch hook that feeds its eval-dispatch histogram.
 	Prof *metrics.Profiler
 	// Rec overrides the engine's flight recorder. By default every engine
 	// arms a fresh ring-recording trace.Recorder so incident reports
@@ -103,13 +104,6 @@ type EngineOptions struct {
 	// (shard.go). The user session always stays pump-driven: it wraps the
 	// caller's terminal, whose reads must be allowed to block.
 	Shards int
-	// EvalMode selects the interpreter's evaluation engine: "classic"
-	// (re-parse every evaluation; the frozen referee), "cached" (parse-once
-	// skeletons, the default), or "vm" (register bytecode with inline
-	// caches). Unknown or empty values keep the default; all three modes
-	// are observably identical — the conformance harness runs every
-	// scenario across them.
-	EvalMode string
 }
 
 // NewEngine builds an engine with a fresh interpreter and the expect
@@ -144,8 +138,8 @@ func NewEngine(opt EngineOptions) *Engine {
 		e.transport = "pty"
 	}
 	if e.rec == nil {
-		// Always-on flight recording: the ring is cheap (fixed memory, no
-		// allocation per event) and is the difference between a timeout
+		// Always-on flight recording: the ring is cheap (bounded memory, no
+		// allocation per event once grown) and is the difference between a timeout
 		// report that says "timed out" and one that shows the dialogue.
 		e.rec = trace.New(0)
 		e.rec.SetRecording(true)
@@ -153,18 +147,8 @@ func NewEngine(opt EngineOptions) *Engine {
 	if opt.Shards > 0 {
 		e.sched = NewScheduler(SchedulerOptions{Shards: opt.Shards})
 	}
-	if m, ok := tcl.ParseEvalMode(opt.EvalMode); ok {
-		e.Interp.SetEvalMode(m)
-	}
 	e.Interp.Stdout = e.userOut
-	// Every Tcl command dispatch feeds the eval latency histogram and, when
-	// armed, the flight recorder (§3.3's trace, structurally).
-	e.Interp.DispatchHook = func(name string, depth int, d time.Duration) {
-		e.prof.Observe(metrics.HistEvalDispatch, d)
-		if e.rec.On() {
-			e.rec.Record(trace.KindEval, -1, int64(d), int64(depth), false, name, "")
-		}
-	}
+	e.armDispatchHook()
 	// Script-visible defaults (§3.1).
 	e.Interp.GlobalSet("timeout", "10")
 	e.Interp.GlobalSet("match_max", strconv.Itoa(DefaultMatchMax))
@@ -225,10 +209,42 @@ func (e *Engine) muxPoolLazy() *netx.MuxPool {
 // Profiler returns the engine's profiler (may be nil).
 func (e *Engine) Profiler() *metrics.Profiler { return e.prof }
 
-// Recorder returns the engine's flight recorder (never nil). Callers can
-// arm live diagnostics with Recorder().SetDiag — the exp_internal command
-// and goexpect -diag do exactly that — or pull a JSONL dump after a run.
+// Recorder returns the engine's flight recorder (never nil), for a JSONL
+// dump after a run. Arm live diagnostics with SetDiag, not through the
+// recorder, so the dispatch hook follows the level.
 func (e *Engine) Recorder() *trace.Recorder { return e.rec }
+
+// SetDiag sets the live-diagnostics level and sink — the switch the
+// exp_internal command and goexpect -diag flip — and arms or disarms the
+// Tcl dispatch hook to match.
+func (e *Engine) SetDiag(level int, w io.Writer) {
+	e.rec.SetDiag(level, w)
+	e.armDispatchHook()
+}
+
+// armDispatchHook installs Interp.DispatchHook only while something reads
+// it: the profiler's eval-dispatch histogram, or level-2 diagnostics, the
+// only level that renders eval events. An armed hook costs two clock
+// reads per command and turns the vm's specialized sites back into
+// generic dispatch, so an engine nobody watches runs without one, and its
+// flight-recorder ring keeps the dialogue events instead of evals.
+func (e *Engine) armDispatchHook() {
+	if e.prof == nil && e.rec.DiagLevel() < 2 {
+		e.Interp.DispatchHook = nil
+		return
+	}
+	e.Interp.DispatchHook = e.observeDispatch
+}
+
+// observeDispatch feeds one Tcl command dispatch to the eval latency
+// histogram and, when armed, the flight recorder (§3.3's trace,
+// structurally).
+func (e *Engine) observeDispatch(name string, depth int, d time.Duration) {
+	e.prof.Observe(metrics.HistEvalDispatch, d)
+	if e.rec.On() {
+		e.rec.Record(trace.KindEval, -1, int64(d), int64(depth), false, name, "")
+	}
+}
 
 // sessionConfig builds the per-session config for a spawn of name with the
 // reserved spawn id (which doubles as the flight-recorder SID).

@@ -179,9 +179,10 @@ func TestCompiledGlobEngineEquivalentQuick(t *testing.T) {
 }
 
 // TestEngineCachedUncachedEquivalentQuick runs one randomly assembled
-// expect script through two engines — eval cache on (default) and off (the
-// seed's parse-as-you-go path) — against the same virtual program, and
-// requires identical results and identical state.
+// expect script through two engines — compile cache on (the default, which
+// runs the bytecode vm) and off (the seed's parse-as-you-go path, the
+// classic referee) — against the same virtual program, and requires
+// identical results and identical state.
 func TestEngineCachedUncachedEquivalentQuick(t *testing.T) {
 	pieces := []string{
 		`set a [expr {$a * 2 + 1}]`,
@@ -204,12 +205,12 @@ func TestEngineCachedUncachedEquivalentQuick(t *testing.T) {
 		sb.WriteString(`set out "$a|$b"`)
 		script := sb.String()
 
-		run := func(cached bool) (string, string) {
+		run := func(onVM bool) (string, string) {
 			var userOut lockedBuffer
 			off := false
 			e := NewEngine(EngineOptions{UserOut: &userOut, LogUser: &off})
 			defer e.Shutdown()
-			if !cached {
+			if !onVM {
 				e.Interp.SetEvalCacheSize(0)
 			}
 			e.RegisterVirtual("echoer", lineServer("ready\n", func(line string) (string, bool) {
@@ -221,10 +222,10 @@ func TestEngineCachedUncachedEquivalentQuick(t *testing.T) {
 			}
 			return out, ""
 		}
-		co, ce := run(true)
-		uo, ue := run(false)
-		if co != uo || ce != ue {
-			t.Logf("script:\n%s\ncached   = (%q, %q)\nuncached = (%q, %q)", script, co, ce, uo, ue)
+		vo, ve := run(true)
+		co, ce := run(false)
+		if vo != co || ve != ce {
+			t.Logf("script:\n%s\nvm      = (%q, %q)\nclassic = (%q, %q)", script, vo, ve, co, ce)
 			return false
 		}
 		return true

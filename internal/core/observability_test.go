@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -211,31 +212,107 @@ func TestDisabledRecorderWakeupAllocationFree(t *testing.T) {
 
 func TestEngineDefaultRecorderAlwaysArmed(t *testing.T) {
 	// Engines arm ring recording by default so incident dumps always
-	// exist; exp_internal 0 must stop narration without stopping the ring.
+	// exist. The default ring holds the dialogue; eval events join it only
+	// while something reads per-command timing (exp_internal 2 here), and
+	// exp_internal 0 stops both without stopping the ring.
 	e, _ := newTestEngine(t)
+	e.Interp.Stderr = io.Discard
 	rec := e.Recorder()
 	if rec == nil || !rec.Recording() {
 		t.Fatal("engine recorder not armed by default")
 	}
 	e.RegisterVirtual("p", greeter("ARMED"))
-	if _, err := e.Run(`
+	kinds := func(script string) map[string]bool {
+		t.Helper()
+		if _, err := e.Run(script); err != nil {
+			t.Fatal(err)
+		}
+		events, err := trace.ParseJSONL(rec.Dump(64))
+		if err != nil || len(events) == 0 {
+			t.Fatalf("default recorder captured nothing (err=%v)", err)
+		}
+		seen := map[string]bool{}
+		for _, ev := range events {
+			seen[ev.Kind] = true
+		}
+		return seen
+	}
+	got := kinds(`
 		set timeout 5
 		spawn p
 		expect {*login:*} {}
-	`); err != nil {
+	`)
+	for _, want := range []string{"spawn", "read", "match"} {
+		if !got[want] {
+			t.Errorf("default recording missing %q events; got %v", want, got)
+		}
+	}
+	if got["eval"] {
+		t.Errorf("default recording holds eval events with no reader armed; got %v", got)
+	}
+	if got := kinds("exp_internal 2\nset x 1\nexp_internal 0"); !got["eval"] {
+		t.Errorf("exp_internal 2 recorded no eval events; got %v", got)
+	}
+	if !rec.Recording() {
+		t.Error("exp_internal 0 stopped the ring")
+	}
+}
+
+// The dispatch hook contract: an engine arms Interp.DispatchHook only while
+// something reads it — a profiler's eval-dispatch histogram or level-2
+// diagnostics — so an unwatched engine runs the vm's specialized sites.
+
+func TestEngineDefaultLeavesDispatchHookNil(t *testing.T) {
+	e := NewEngine(EngineOptions{})
+	defer e.Shutdown()
+	if e.Interp.DispatchHook != nil {
+		t.Fatal("default engine armed the dispatch hook")
+	}
+}
+
+func TestEngineProfilerSamplesEvalDispatch(t *testing.T) {
+	prof := metrics.NewProfiler()
+	e := NewEngine(EngineOptions{Prof: prof, UserOut: io.Discard})
+	defer e.Shutdown()
+	if e.Interp.DispatchHook == nil {
+		t.Fatal("profiled engine left the dispatch hook unarmed")
+	}
+	if _, err := e.Run(`set n 0; while {$n < 10} { incr n }`); err != nil {
 		t.Fatal(err)
 	}
-	events, err := trace.ParseJSONL(rec.Dump(64))
-	if err != nil || len(events) == 0 {
-		t.Fatalf("default recorder captured nothing (err=%v)", err)
+	if n := prof.Hist(metrics.HistEvalDispatch).Count(); n < 10 {
+		t.Errorf("eval-dispatch histogram sampled %d dispatches, want >= 10", n)
 	}
-	kinds := map[string]bool{}
-	for _, ev := range events {
-		kinds[ev.Kind] = true
+	// Diagnostics going quiet must not disarm what the profiler reads.
+	e.SetDiag(0, io.Discard)
+	if e.Interp.DispatchHook == nil {
+		t.Error("exp_internal 0 disarmed a profiled engine's dispatch hook")
 	}
-	for _, want := range []string{"spawn", "read", "match", "eval"} {
-		if !kinds[want] {
-			t.Errorf("default recording missing %q events; got %v", want, kinds)
+}
+
+func TestExpInternalArmsDispatchHook(t *testing.T) {
+	e, _ := newTestEngine(t)
+	var diag lockedBuffer
+	e.Interp.Stderr = &diag
+	for _, step := range []struct {
+		level string
+		armed bool
+	}{{"2", true}, {"1", false}, {"2", true}, {"0", false}} {
+		if _, err := e.Run("exp_internal " + step.level); err != nil {
+			t.Fatal(err)
 		}
+		if armed := e.Interp.DispatchHook != nil; armed != step.armed {
+			t.Errorf("after exp_internal %s: hook armed = %v, want %v", step.level, armed, step.armed)
+		}
+	}
+	if _, err := e.Run("exp_internal 2\nset probe 1\nexp_internal 0\nset silent 1"); err != nil {
+		t.Fatal(err)
+	}
+	out := diag.String()
+	if !strings.Contains(out, "tcl: dispatch set") {
+		t.Errorf("exp_internal 2 rendered no dispatch lines:\n%s", out)
+	}
+	if strings.Count(out, "tcl: dispatch set") != 1 {
+		t.Errorf("dispatch lines rendered outside exp_internal 2:\n%s", out)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // paths (script eval, expr eval, glob match) plus the gap-buffer
 // replacement for copy-shift match_max enforcement.
 func HotPathCaches() (Result, error) {
-	t := &table{header: []string{"hot path", "before (seed)", "after (cached)", "speedup"}}
+	t := &table{header: []string{"hot path", "before (seed)", "after (compiled)", "speedup"}}
 	m := map[string]float64{}
 
 	nsPerOp := func(iters int, f func()) float64 {

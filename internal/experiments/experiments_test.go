@@ -167,8 +167,8 @@ func TestDeclaredGuards(t *testing.T) {
 			{Metric: "telemetry_armed_overhead_pct", Bound: 1},
 		},
 		"E22": {
-			{Metric: "vm_eval_speedup_vs_cached", AtLeast: true, Bound: 3},
-			{Metric: "vm_expr_speedup_vs_cached", AtLeast: true, Bound: 3},
+			{Metric: "vm_eval_speedup_vs_classic", AtLeast: true, Bound: 11.1},
+			{Metric: "vm_expr_speedup_vs_classic", AtLeast: true, Bound: 14.5},
 			{Metric: "vm_conformance_divergences", Bound: 0},
 		},
 		"E23": {

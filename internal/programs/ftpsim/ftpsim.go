@@ -65,11 +65,13 @@ func New(cfg Config) proc.Program {
 				fmt.Fprintf(stdout, "451 %s: transfer aborted: local error in processing.\r\n", f.Name)
 				return false
 			}
-			fmt.Fprintf(stdout, "226 Transfer complete.\r\nlocal: %s remote: %s\r\n%d bytes received.\r\n",
-				f.Name, f.Name, f.Size)
+			// The file is received before 226 reports it, so a client that
+			// has seen the 226 line sees the retrieval too.
 			if cfg.OnRetrieve != nil {
 				cfg.OnRetrieve(f.Name)
 			}
+			fmt.Fprintf(stdout, "226 Transfer complete.\r\nlocal: %s remote: %s\r\n%d bytes received.\r\n",
+				f.Name, f.Name, f.Size)
 			return true
 		}
 

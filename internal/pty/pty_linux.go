@@ -40,12 +40,12 @@ func Open() (*Pty, error) {
 		return nil, fmt.Errorf("pty: open /dev/ptmx: %w", err)
 	}
 	var n uint32
-	if err := ioctl(master.Fd(), ioctlTIOCGPTN, uintptr(unsafe.Pointer(&n))); err != nil {
+	if err := ioctl(master, ioctlTIOCGPTN, unsafe.Pointer(&n)); err != nil {
 		master.Close()
 		return nil, fmt.Errorf("pty: TIOCGPTN: %w", err)
 	}
 	var unlock int32 // 0 unlocks
-	if err := ioctl(master.Fd(), ioctlTIOCSPTLCK, uintptr(unsafe.Pointer(&unlock))); err != nil {
+	if err := ioctl(master, ioctlTIOCSPTLCK, unsafe.Pointer(&unlock)); err != nil {
 		master.Close()
 		return nil, fmt.Errorf("pty: TIOCSPTLCK: %w", err)
 	}
@@ -63,11 +63,26 @@ func (p *Pty) OpenSlave() (*os.File, error) {
 	return f, nil
 }
 
-// Close releases the master (which hangs up the slave).
+// Close releases the master, which hangs up the slave — also while
+// another goroutine is blocked reading the master.
 func (p *Pty) Close() error { return p.Master.Close() }
 
-func ioctl(fd uintptr, req, arg uintptr) error {
-	_, _, errno := syscall.Syscall(syscall.SYS_IOCTL, fd, req, arg)
+// ioctl issues one ioctl on f's descriptor through SyscallConn. f.Fd()
+// would switch the file to blocking mode for good, after which Close can
+// no longer interrupt a Read in progress: the descriptor would stay open
+// until that Read returned, and closing a master would never hang up the
+// child behind it.
+func ioctl(f *os.File, req uintptr, arg unsafe.Pointer) error {
+	rc, err := f.SyscallConn()
+	if err != nil {
+		return err
+	}
+	var errno syscall.Errno
+	if err := rc.Control(func(fd uintptr) {
+		_, _, errno = syscall.Syscall(syscall.SYS_IOCTL, fd, req, uintptr(arg))
+	}); err != nil {
+		return err
+	}
 	if errno != 0 {
 		return errno
 	}
@@ -83,13 +98,13 @@ type Winsize struct {
 // like the paper's rogue read this to lay out their screen.
 func SetWinsize(f *os.File, rows, cols uint16) error {
 	ws := Winsize{Rows: rows, Cols: cols}
-	return ioctl(f.Fd(), ioctlTIOCSWINSZ, uintptr(unsafe.Pointer(&ws)))
+	return ioctl(f, ioctlTIOCSWINSZ, unsafe.Pointer(&ws))
 }
 
 // GetWinsize reads the terminal size from f.
 func GetWinsize(f *os.File) (Winsize, error) {
 	var ws Winsize
-	err := ioctl(f.Fd(), ioctlTIOCGWINSZ, uintptr(unsafe.Pointer(&ws)))
+	err := ioctl(f, ioctlTIOCGWINSZ, unsafe.Pointer(&ws))
 	return ws, err
 }
 
@@ -117,7 +132,7 @@ const (
 // GetAttr reads terminal attributes from f.
 func GetAttr(f *os.File) (*Termios, error) {
 	t := &Termios{}
-	if err := ioctl(f.Fd(), ioctlTCGETS, uintptr(unsafe.Pointer(t))); err != nil {
+	if err := ioctl(f, ioctlTCGETS, unsafe.Pointer(t)); err != nil {
 		return nil, fmt.Errorf("pty: TCGETS: %w", err)
 	}
 	return t, nil
@@ -125,7 +140,7 @@ func GetAttr(f *os.File) (*Termios, error) {
 
 // SetAttr writes terminal attributes to f.
 func SetAttr(f *os.File, t *Termios) error {
-	if err := ioctl(f.Fd(), ioctlTCSETS, uintptr(unsafe.Pointer(t))); err != nil {
+	if err := ioctl(f, ioctlTCSETS, unsafe.Pointer(t)); err != nil {
 		return fmt.Errorf("pty: TCSETS: %w", err)
 	}
 	return nil

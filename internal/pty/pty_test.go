@@ -2,8 +2,11 @@ package pty
 
 import (
 	"os"
+	"os/exec"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/testutil"
 )
@@ -142,5 +145,41 @@ func TestEchoIsTheDefault(t *testing.T) {
 	}
 	if attr.Lflag&flagECHO == 0 {
 		t.Error("fresh pty slave does not echo")
+	}
+}
+
+// TestCloseHangsUpChildUnderPendingRead closes a master while another
+// goroutine is parked in Read on it, as a session pump always is: the
+// close must still release the descriptor and hang up the child, which
+// then dies of SIGHUP instead of running on.
+func TestCloseHangsUpChildUnderPendingRead(t *testing.T) {
+	testutil.RequireCmd(t, "sleep")
+	p, slave := openPair(t)
+	cmd := exec.Command("sleep", "60")
+	cmd.Stdin, cmd.Stdout, cmd.Stderr = slave, slave, slave
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setsid: true, Setctty: true, Ctty: 0}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cmd.Process.Kill() })
+	slave.Close()
+	go func() {
+		buf := make([]byte, 64)
+		for {
+			if _, err := p.Master.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	time.Sleep(20 * time.Millisecond) // let the reader park
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan struct{})
+	go func() { cmd.Wait(); close(exited) }()
+	select {
+	case <-exited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("child still running 5s after its pty master was closed")
 	}
 }

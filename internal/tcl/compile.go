@@ -6,12 +6,14 @@ import "strings"
 // time it is evaluated, which makes loop bodies, proc bodies, and if arms pay
 // the full parser on every iteration. compileScript instead parses a script
 // string once into a command skeleton — commands of words, words of segments
-// (literal runs, $variable references, [bracket] scripts) — that the
-// interpreter can replay with only substitution work. Compiled skeletons are
-// pure functions of the script text, so they are memoized in a bounded LRU
-// keyed by the text itself (Interp.evalCache): redefining a proc or renaming
-// a command can never serve a stale body, because bodies are keyed by their
-// source and command dispatch stays by-name at evaluation time.
+// (literal runs, $variable references, [bracket] scripts) — that the vm
+// lowers to bytecode (vm_compile.go) and that runCompiled replays, with only
+// substitution work, for the commands the lowering leaves to it. Compiled
+// skeletons are pure functions of the script text, so their lowered programs
+// are memoized in a bounded LRU keyed by the text itself (Interp.vmCache):
+// redefining a proc or renaming a command can never serve a stale body,
+// because bodies are keyed by their source and command dispatch stays
+// by-name at evaluation time.
 //
 // Error timing is preserved exactly: the classic evaluator parses as it
 // goes, so a syntax error after a runnable prefix surfaces only once

@@ -2,8 +2,9 @@ package tcl
 
 import "strings"
 
-// The expr AST: a parse-once form of Tcl expressions, cached in
-// Interp.exprCache keyed by expression text. The classic evaluator
+// The expr AST: a parse-once form of Tcl expressions, the vm's front end
+// for expr (vm_compile.go lowers it) and its fallback for constructs the
+// lowering leaves out (Interp.vmExprCache keeps it). The classic evaluator
 // (exprParser) re-lexes the expression on every call; the AST keeps the
 // operator structure and defers only the value-dependent work — variable
 // reads, [command] scripts, quoted-string substitution, truth tests — to

@@ -21,13 +21,13 @@ func fuzzInterp(cacheSize int, out *strings.Builder) *Interp {
 	return i
 }
 
-// FuzzEvalCacheEquivalence feeds the same script to a cache-enabled and a
-// cache-disabled interpreter and requires identical results: same value,
-// same error text, same output, same step count. The compiled fast path
-// (compile.go) and the classic parser (parse.go) are independent
-// implementations of the same language, so any divergence is a bug in one
-// of them — this is the differential driver behind the conformance
-// harness's eval-cache axis.
+// FuzzEvalCacheEquivalence runs the vm under cache pressure: a one-entry
+// compile cache, so every nested body, proc body, and expression evicts
+// the last one and is lowered again on its next evaluation, while the
+// one-entry front caches keep pointing at evicted programs. The result
+// must still match the classic walker (compile caches off) on value,
+// error text, output, and step count. FuzzVMEquivalence covers the
+// default cache bound; this target covers eviction and re-lowering.
 func FuzzEvalCacheEquivalence(f *testing.F) {
 	for _, s := range []string{
 		`set a 5; while {$a > 0} {incr a -1}; set a`,
@@ -54,29 +54,34 @@ func FuzzEvalCacheEquivalence(f *testing.F) {
 		if hasLongDigitRun(script, 8) {
 			t.Skip("pathological numeric literal")
 		}
-		var outA, outB strings.Builder
-		cached := fuzzInterp(DefaultEvalCacheSize, &outA)
-		classic := fuzzInterp(0, &outB)
-
-		valA, errA := cached.Eval(script)
-		valB, errB := classic.Eval(script)
-
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("error presence diverged: cached=%v classic=%v script=%q", errA, errB, script)
-		}
-		if errA != nil && errA.Error() != errB.Error() {
-			t.Fatalf("error text diverged:\ncached:  %s\nclassic: %s\nscript=%q", errA, errB, script)
-		}
-		if valA != valB {
-			t.Fatalf("result diverged: cached=%q classic=%q script=%q", valA, valB, script)
-		}
-		if outA.String() != outB.String() {
-			t.Fatalf("output diverged:\ncached:  %q\nclassic: %q\nscript=%q", outA.String(), outB.String(), script)
-		}
-		if sa, sb := cached.Steps(), classic.Steps(); sa != sb {
-			t.Fatalf("step count diverged: cached=%d classic=%d script=%q", sa, sb, script)
-		}
+		var outC, outV strings.Builder
+		classic := fuzzInterp(0, &outC)
+		vmi := fuzzInterp(1, &outV)
+		checkEquivalent(t, script, classic, vmi, &outC, &outV)
 	})
+}
+
+// checkEquivalent evaluates script on the classic referee and on vmi and
+// fails on any difference in value, error text, output, or step count.
+func checkEquivalent(t *testing.T, script string, classic, vmi *Interp, outC, outV *strings.Builder) {
+	t.Helper()
+	valC, errC := classic.Eval(script)
+	valV, errV := vmi.Eval(script)
+	if (errC == nil) != (errV == nil) {
+		t.Fatalf("error presence diverged: classic=%v vm=%v script=%q", errC, errV, script)
+	}
+	if errC != nil && errC.Error() != errV.Error() {
+		t.Fatalf("error text diverged:\nclassic: %s\nvm:      %s\nscript=%q", errC, errV, script)
+	}
+	if valC != valV {
+		t.Fatalf("result diverged: classic=%q vm=%q script=%q", valC, valV, script)
+	}
+	if outC.String() != outV.String() {
+		t.Fatalf("output diverged:\nclassic: %q\nvm:      %q\nscript=%q", outC.String(), outV.String(), script)
+	}
+	if sc, sv := classic.Steps(), vmi.Steps(); sc != sv {
+		t.Fatalf("step count diverged: classic=%d vm=%d script=%q", sc, sv, script)
+	}
 }
 
 func hasLongDigitRun(s string, n int) bool {

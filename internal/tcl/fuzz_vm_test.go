@@ -5,27 +5,19 @@ import (
 	"testing"
 )
 
-// fuzzModeInterp is fuzzInterp with an eval-mode axis: same hardening
-// (captured output, step bound, no process/filesystem/clock commands),
-// plus the requested evaluation engine.
-func fuzzModeInterp(mode EvalMode, out *strings.Builder) *Interp {
-	i := fuzzInterp(DefaultEvalCacheSize, out)
-	i.SetEvalMode(mode)
-	return i
-}
-
-// FuzzVMEquivalence is the three-way differential driver behind the vm:
-// the same script runs under the classic walker (the frozen referee), the
-// cached skeleton evaluator, and the register bytecode vm, and all three
-// must agree on value, error text, captured output, and step count. The
-// bytecode compiler, the skeleton compiler, and the classic parser are
-// three independent implementations of the same language, so any
+// FuzzVMEquivalence is the differential driver behind the vm: the same
+// script runs under the classic walker (the frozen referee) and the
+// register bytecode vm, and both must agree on value, error text,
+// captured output, and step count. The bytecode compiler (with the
+// skeleton and expr-AST front ends it falls back to) and the classic
+// parser are independent implementations of the same language, so any
 // divergence is a bug in one of them. Each script also runs twice in the
 // vm interpreter so warm inline caches and memoized programs are fuzzed,
 // not just the cold compile.
 func FuzzVMEquivalence(f *testing.F) {
 	for _, s := range []string{
-		// The FuzzEvalCacheEquivalence seeds.
+		// The FuzzEvalCacheEquivalence seeds (its corpus files are
+		// mirrored under testdata/fuzz/FuzzVMEquivalence).
 		`set a 5; while {$a > 0} {incr a -1}; set a`,
 		`proc fib {n} { if {$n < 2} { return $n }; expr {[fib [expr {$n-1}]] + [fib [expr {$n-2}]]} }; fib 9`,
 		`foreach x {1 2 3} { puts "item $x" }`,
@@ -58,41 +50,17 @@ func FuzzVMEquivalence(f *testing.F) {
 		if hasLongDigitRun(script, 8) {
 			t.Skip("pathological numeric literal")
 		}
-		var outC, outK, outV strings.Builder
-		classic := fuzzModeInterp(EvalClassic, &outC)
-		cached := fuzzModeInterp(EvalCached, &outK)
-		vmi := fuzzModeInterp(EvalVM, &outV)
-
-		valC, errC := classic.Eval(script)
-		valK, errK := cached.Eval(script)
-		valV, errV := vmi.Eval(script)
-
-		check := func(mode string, val string, err error, out string, steps int64) {
-			if (errC == nil) != (err == nil) {
-				t.Fatalf("%s error presence diverged: classic=%v %s=%v script=%q", mode, errC, mode, err, script)
-			}
-			if errC != nil && errC.Error() != err.Error() {
-				t.Fatalf("%s error text diverged:\nclassic: %s\n%s: %s\nscript=%q", mode, errC, mode, err, script)
-			}
-			if valC != val {
-				t.Fatalf("%s result diverged: classic=%q %s=%q script=%q", mode, valC, mode, val, script)
-			}
-			if outC.String() != out {
-				t.Fatalf("%s output diverged:\nclassic: %q\n%s: %q\nscript=%q", mode, outC.String(), mode, out, script)
-			}
-			if sc := classic.Steps(); sc != steps {
-				t.Fatalf("%s step count diverged: classic=%d %s=%d script=%q", mode, sc, mode, steps, script)
-			}
-		}
-		check("cached", valK, errK, outK.String(), cached.Steps())
-		check("vm", valV, errV, outV.String(), vmi.Steps())
+		var outC, outV strings.Builder
+		classic := fuzzInterp(0, &outC)
+		vmi := fuzzInterp(DefaultEvalCacheSize, &outV)
+		checkEquivalent(t, script, classic, vmi, &outC, &outV)
 
 		// Warm pass: a second vm interpreter runs the script twice so the
 		// memoized programs and primed inline caches face the same check.
 		// The referee reruns too — scripts are not idempotent.
 		var outC2, outV2 strings.Builder
-		classic2 := fuzzModeInterp(EvalClassic, &outC2)
-		vmi2 := fuzzModeInterp(EvalVM, &outV2)
+		classic2 := fuzzInterp(0, &outC2)
+		vmi2 := fuzzInterp(DefaultEvalCacheSize, &outV2)
 		classic2.Eval(script)
 		vmi2.Eval(script)
 		classic2.ResetSteps()

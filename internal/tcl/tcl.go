@@ -160,8 +160,8 @@ type Interp struct {
 	// with an error. MaxDepth only catches runaway *recursion*; StepLimit
 	// also catches flat infinite loops (`while 1 {}`), which makes it the
 	// safety net for fuzzing and other adversarial-input drivers. Steps
-	// are counted in EvalWords and EvalScript only — both the cached and
-	// the classic parse paths dispatch exclusively through those two
+	// are counted in EvalWords and EvalScript only — both the vm and the
+	// classic parse paths dispatch exclusively through those two
 	// entry points, so a given script costs the same number of steps
 	// regardless of SetEvalCacheSize. Zero means no limit.
 	StepLimit int64
@@ -170,28 +170,22 @@ type Interp struct {
 	steps       int64
 	exitHandler func(code int)
 
-	// evalCache memoizes compiled script skeletons keyed by script text, so
-	// proc bodies, loop bodies, and if arms parse once instead of per
-	// evaluation. exprCache does the same for expr ASTs. Keying by source
-	// text makes invalidation automatic: redefining a proc or renaming a
-	// command changes which body text is evaluated (dispatch stays by-name
-	// at eval time), never which compilation a text maps to. A nil cache
-	// selects the classic parse-as-you-evaluate path.
-	evalCache *lru.Cache[string, *compiledScript]
-	exprCache *lru.Cache[string, *exprAST]
-
-	// evalMode selects the engine behind EvalScript and expr: the cached
-	// tree walker (default), the classic re-parsing evaluator, or the
-	// bytecode vm. The vm caches hold lowered programs plus their
-	// inline-cache arrays; cacheSize remembers the configured bound.
-	evalMode    EvalMode
+	// vmCache memoizes lowered programs (plus their inline-cache arrays)
+	// keyed by script text, so proc bodies, loop bodies, and if arms
+	// compile once instead of per evaluation; vmExprCache does the same
+	// for expressions. Keying by source text makes invalidation
+	// automatic: redefining a proc or renaming a command changes which
+	// body text is evaluated (dispatch stays by-name at eval time), never
+	// which compilation a text maps to. Nil caches select the classic
+	// parse-as-you-evaluate path, the differential referee.
 	vmCache     *lru.Cache[string, *vmEntry]
 	vmExprCache *lru.Cache[string, *vmExprEntry]
-	cacheSize   int
 
 	// One-entry front caches ahead of the vm LRUs: the steady state
 	// re-evaluates the same text (loop bodies, proc bodies), where a
 	// pointer-equal string hit skips the lock + map + recency update.
+	// vmFrontHits counts the script front cache's hits for EvalCacheStats.
+	vmFrontHits    uint64
 	vmFront        *vmEntry
 	vmFrontKey     string
 	vmExprFront    *vmExprEntry
@@ -482,35 +476,31 @@ func (i *Interp) Eval(script string) (string, error) {
 }
 
 // SetEvalCacheSize rebounds the script and expr compile caches to n entries,
-// dropping any cached compilations. n <= 0 disables caching entirely,
-// restoring the classic parse-as-you-evaluate path (useful as an
-// equivalence/benchmark baseline).
+// dropping any cached compilations. Compiled text runs on the bytecode vm.
+// n <= 0 disables caching entirely, restoring the classic
+// parse-as-you-evaluate path (the differential referee and benchmark
+// baseline).
 func (i *Interp) SetEvalCacheSize(n int) {
-	i.cacheSize = n
-	i.vmFront, i.vmFrontKey = nil, ""
+	i.vmFront, i.vmFrontKey, i.vmFrontHits = nil, "", 0
 	i.vmExprFront, i.vmExprFrontKey = nil, ""
 	if n <= 0 {
-		i.evalCache = nil
-		i.exprCache = nil
 		i.vmCache = nil
 		i.vmExprCache = nil
 		return
 	}
-	i.evalCache = lru.New[string, *compiledScript](n)
-	i.exprCache = lru.New[string, *exprAST](n)
-	if i.vmCache != nil || i.evalMode == EvalVM {
-		i.vmCache = lru.New[string, *vmEntry](n)
-		i.vmExprCache = lru.New[string, *vmExprEntry](n)
-	}
+	i.vmCache = lru.New[string, *vmEntry](n)
+	i.vmExprCache = lru.New[string, *vmExprEntry](n)
 }
 
 // EvalCacheStats reports cumulative hit/miss/eviction counts for the script
-// compile cache (zeros when caching is disabled).
+// compile cache, its one-entry front cache included (zeros when caching is
+// disabled).
 func (i *Interp) EvalCacheStats() (hits, misses, evicted uint64) {
-	if i.evalCache == nil {
+	if i.vmCache == nil {
 		return 0, 0, 0
 	}
-	return i.evalCache.Stats()
+	hits, misses, evicted = i.vmCache.Stats()
+	return hits + i.vmFrontHits, misses, evicted
 }
 
 // EvalScript evaluates a script and returns the raw completion Result,
@@ -525,19 +515,10 @@ func (i *Interp) EvalScript(script string) Result {
 	}
 	i.depth++
 	defer func() { i.depth-- }()
-	if i.evalMode == EvalClassic || i.evalCache == nil {
+	if i.vmCache == nil {
 		return i.evalScript(script, false).Result
 	}
-	if i.evalMode == EvalVM && i.vmCache != nil {
-		return i.vmEvalScript(script)
-	}
-	cs, ok := i.evalCache.Get(script)
-	if !ok {
-		cs = compileScript(script, false)
-		i.evalCache.Put(script, cs)
-	}
-	res, _ := i.runCompiled(cs)
-	return res
+	return i.vmEvalScript(script)
 }
 
 // spendStep charges one evaluation step against StepLimit. It returns
@@ -571,10 +552,12 @@ func (i *Interp) EvalWords(words []string) Result {
 		i.Trace(i.Level(), words)
 	}
 	name := words[0]
-	if i.DispatchHook != nil {
+	// The hook is read once: the command may re-arm or clear it
+	// (exp_internal does), and the dispatch it timed still reports.
+	if hook := i.DispatchHook; hook != nil {
 		start := time.Now()
 		res := i.dispatch(name, words)
-		i.DispatchHook(name, i.Level(), time.Since(start))
+		hook(name, i.Level(), time.Since(start))
 		return res
 	}
 	return i.dispatch(name, words)

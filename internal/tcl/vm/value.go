@@ -1,5 +1,5 @@
-// Package vm defines the register bytecode the Tcl interpreter's third
-// eval mode executes: a dual string/native Value representation, the
+// Package vm defines the register bytecode the Tcl interpreter executes
+// whenever its compile caches are on: a dual string/native Value representation, the
 // instruction set for compiled scripts and expressions (constants pool,
 // interned variable slots, jump-threaded control flow, inline-cached
 // command dispatch), and a disassembler for golden tests.

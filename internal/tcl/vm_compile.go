@@ -69,10 +69,8 @@ func lowerRootExpr(src string) (*vm.ExprProg, []*compiledCmd, vm.SlotCounts) {
 type progBuilder struct {
 	pool     *vmPool
 	code     []vm.Instr
-	consts   []vm.Value
-	constIx  map[vm.Value]int32
-	names    []string
-	nameIx   map[string]int32
+	consts   interner[vm.Value]
+	names    interner[string]
 	litWords [][]string
 	lists    [][]string
 	blocks   []vm.Block
@@ -86,11 +84,7 @@ type progBuilder struct {
 }
 
 func lowerScript(cs *compiledScript, pool *vmPool) *vm.Program {
-	b := &progBuilder{
-		pool:    pool,
-		constIx: make(map[vm.Value]int32),
-		nameIx:  make(map[string]int32),
-	}
+	b := &progBuilder{pool: pool}
 	for k := range cs.cmds {
 		b.lowerCmd(&cs.cmds[k])
 	}
@@ -98,7 +92,7 @@ func lowerScript(cs *compiledScript, pool *vmPool) *vm.Program {
 		b.emit(vm.Instr{Op: vm.OpRaise, A: b.raise(*cs.parseErr)})
 	}
 	return &vm.Program{
-		Code: b.code, Consts: b.consts, Names: b.names,
+		Code: b.code, Consts: b.consts.vals, Names: b.names.vals,
 		LitWords: b.litWords, Lists: b.lists, Blocks: b.blocks,
 		Exprs: b.exprs, Aux: b.aux, Foreach: b.foreach, Raises: b.raises,
 		HostCmds: b.hostCmds, NRegs: b.maxReg,
@@ -120,24 +114,44 @@ func (b *progBuilder) reg() int32 {
 	return r
 }
 
-func (b *progBuilder) konst(v vm.Value) int32 {
-	if ix, ok := b.constIx[v]; ok {
-		return ix
-	}
-	ix := int32(len(b.consts))
-	b.consts = append(b.consts, v)
-	b.constIx[v] = ix
-	return ix
+func (b *progBuilder) konst(v vm.Value) int32 { return b.consts.add(v) }
+
+func (b *progBuilder) name(n string) int32 { return b.names.add(n) }
+
+// interner assigns dense indexes to distinct values. Most blocks intern a
+// handful, so it scans linearly until internScan values and indexes them
+// in a map only past that: a map per nested block would be most of the
+// lowering's garbage.
+type interner[T comparable] struct {
+	vals []T
+	ix   map[T]int32
 }
 
-func (b *progBuilder) name(n string) int32 {
-	if ix, ok := b.nameIx[n]; ok {
-		return ix
+const internScan = 16
+
+func (in *interner[T]) add(v T) int32 {
+	if in.ix != nil {
+		if i, ok := in.ix[v]; ok {
+			return i
+		}
+	} else {
+		for i, x := range in.vals {
+			if x == v {
+				return int32(i)
+			}
+		}
 	}
-	ix := int32(len(b.names))
-	b.names = append(b.names, n)
-	b.nameIx[n] = ix
-	return ix
+	i := int32(len(in.vals))
+	in.vals = append(in.vals, v)
+	if in.ix != nil {
+		in.ix[v] = i
+	} else if len(in.vals) > internScan {
+		in.ix = make(map[T]int32, 2*len(in.vals))
+		for k, x := range in.vals {
+			in.ix[x] = int32(k)
+		}
+	}
+	return i
 }
 
 func (b *progBuilder) words(w []string) int32 {
@@ -533,18 +547,13 @@ func lowerExprText(src string, pool *vmPool) *vm.ExprProg {
 	if !canLowerExprNode(ast.root) {
 		return p
 	}
-	b := &exprBuilder{
-		pool:    pool,
-		constIx: make(map[vm.Value]int32),
-		nameIx:  make(map[string]int32),
-		funcIx:  make(map[string]int32),
-	}
+	b := &exprBuilder{pool: pool}
 	root := b.lower(ast.root)
 	b.code = append(b.code, vm.EInstr{Op: vm.EEnd, A: root})
 	p.Code = b.code
-	p.Consts = b.consts
-	p.Names = b.names
-	p.Funcs = b.funcs
+	p.Consts = b.consts.vals
+	p.Names = b.names.vals
+	p.Funcs = b.funcs.vals
 	p.Blocks = b.blocks
 	p.NRegs = b.nreg
 	p.NCtl = b.maxCtl
@@ -631,18 +640,15 @@ func foldExprNode(n exprNode) (vm.Value, bool) {
 }
 
 type exprBuilder struct {
-	pool    *vmPool
-	code    []vm.EInstr
-	consts  []vm.Value
-	constIx map[vm.Value]int32
-	names   []string
-	nameIx  map[string]int32
-	funcs   []string
-	funcIx  map[string]int32
-	blocks  []vm.Block
-	nreg    int32
-	ctl     int32
-	maxCtl  int32
+	pool   *vmPool
+	code   []vm.EInstr
+	consts interner[vm.Value]
+	names  interner[string]
+	funcs  interner[string]
+	blocks []vm.Block
+	nreg   int32
+	ctl    int32
+	maxCtl int32
 }
 
 func (b *exprBuilder) reg() int32 {
@@ -651,35 +657,11 @@ func (b *exprBuilder) reg() int32 {
 	return r
 }
 
-func (b *exprBuilder) konst(v vm.Value) int32 {
-	if ix, ok := b.constIx[v]; ok {
-		return ix
-	}
-	ix := int32(len(b.consts))
-	b.consts = append(b.consts, v)
-	b.constIx[v] = ix
-	return ix
-}
+func (b *exprBuilder) konst(v vm.Value) int32 { return b.consts.add(v) }
 
-func (b *exprBuilder) name(n string) int32 {
-	if ix, ok := b.nameIx[n]; ok {
-		return ix
-	}
-	ix := int32(len(b.names))
-	b.names = append(b.names, n)
-	b.nameIx[n] = ix
-	return ix
-}
+func (b *exprBuilder) name(n string) int32 { return b.names.add(n) }
 
-func (b *exprBuilder) fn(n string) int32 {
-	if ix, ok := b.funcIx[n]; ok {
-		return ix
-	}
-	ix := int32(len(b.funcs))
-	b.funcs = append(b.funcs, n)
-	b.funcIx[n] = ix
-	return ix
-}
+func (b *exprBuilder) fn(n string) int32 { return b.funcs.add(n) }
 
 func (b *exprBuilder) pushCtl() {
 	b.ctl++

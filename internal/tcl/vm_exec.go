@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/lru"
 	"repro/internal/tcl/vm"
 )
 
@@ -21,71 +20,6 @@ import (
 // carries only KInt values whose canonical rendering equals the Result
 // string, so a consumer may substitute the native value for the string
 // without changing any observable rendering or numeric classification.
-
-// EvalMode selects the evaluation engine behind EvalScript and expr.
-type EvalMode uint8
-
-const (
-	// EvalCached is the default: parse-once skeletons and expr ASTs,
-	// memoized by source text, replayed by the tree walker.
-	EvalCached EvalMode = iota
-	// EvalClassic re-parses every script on every evaluation — the frozen
-	// referee the other modes are proven against.
-	EvalClassic
-	// EvalVM lowers cached skeletons to register bytecode with inline
-	// caches and native numeric values.
-	EvalVM
-)
-
-func (m EvalMode) String() string {
-	switch m {
-	case EvalClassic:
-		return "classic"
-	case EvalVM:
-		return "vm"
-	default:
-		return "cached"
-	}
-}
-
-// ParseEvalMode maps the -evalmode flag spellings to a mode.
-func ParseEvalMode(s string) (EvalMode, bool) {
-	switch s {
-	case "classic":
-		return EvalClassic, true
-	case "cached":
-		return EvalCached, true
-	case "vm":
-		return EvalVM, true
-	}
-	return EvalCached, false
-}
-
-// SetEvalMode selects the evaluation engine. Entering vm mode allocates
-// the bytecode caches (and restores the compile caches if they were
-// disabled, since the vm compiles through them).
-func (i *Interp) SetEvalMode(m EvalMode) {
-	i.evalMode = m
-	i.vmFront, i.vmFrontKey = nil, ""
-	i.vmExprFront, i.vmExprFrontKey = nil, ""
-	if m != EvalVM {
-		return
-	}
-	if i.evalCache == nil {
-		i.SetEvalCacheSize(DefaultEvalCacheSize)
-	}
-	if i.vmCache == nil {
-		n := i.cacheSize
-		if n <= 0 {
-			n = DefaultEvalCacheSize
-		}
-		i.vmCache = lru.New[string, *vmEntry](n)
-		i.vmExprCache = lru.New[string, *vmExprEntry](n)
-	}
-}
-
-// EvalMode reports the active evaluation engine.
-func (i *Interp) EvalMode() EvalMode { return i.evalMode }
 
 // cmdCache is one command-dispatch inline cache: the resolution of name
 // at cmdEpoch. kind: 0 = unknown name, 1 = command, 2 = procedure.
@@ -162,7 +96,7 @@ func init() {
 	}
 }
 
-// vmEvalScript is EvalScript's vm-mode body (depth and step accounting
+// vmEvalScript is EvalScript's compiled body (depth and step accounting
 // already done by the caller). A one-entry front cache short-circuits
 // the LRU on the common re-evaluate-the-same-text path.
 func (i *Interp) vmEvalScript(script string) Result {
@@ -171,22 +105,19 @@ func (i *Interp) vmEvalScript(script string) Result {
 		var ok bool
 		e, ok = i.vmCache.Get(script)
 		if !ok {
-			cs, csok := i.evalCache.Get(script)
-			if !csok {
-				cs = compileScript(script, false)
-				i.evalCache.Put(script, cs)
-			}
-			prog, hosts := lowerRootScript(cs)
+			prog, hosts := lowerRootScript(compileScript(script, false))
 			e = &vmEntry{prog: prog, run: newVMRun(hosts, prog.Slots)}
 			i.vmCache.Put(script, e)
 		}
 		i.vmFront, i.vmFrontKey = e, script
+	} else {
+		i.vmFrontHits++
 	}
 	res, _, _, _ := i.runProgram(&e.run, e.prog)
 	return res
 }
 
-// vmExprValue is exprValue's vm-mode body.
+// vmExprValue is exprValue's compiled body.
 func (i *Interp) vmExprValue(text string) (exprValue, Result) {
 	e := i.vmExprFront
 	if e == nil || i.vmExprFrontKey != text {

@@ -9,8 +9,8 @@ import (
 	"repro/internal/tcl/vm"
 )
 
-// vmEquivScripts is the cross-mode conformance table: every script runs
-// under classic, cached, and vm evaluation and must produce identical
+// vmEquivScripts is the cross-evaluator conformance table: every script
+// runs under classic and vm evaluation and must produce identical
 // results, error text, ErrorInfo traces, output, and step counts. The
 // list deliberately covers every specialized opcode (set/incr/expr/if/
 // while/foreach), the generic dispatch path, substitution errors, and
@@ -63,19 +63,36 @@ var vmEquivScripts = []string{
 	`rename set myset; myset z 9; myset z`,
 	`proc set2 {n v} { uplevel 1 [list set $n $v] }; set2 q 5; set q`,
 	`proc w {} {return inner}; w; rename w ""; w`,
+	// More distinct names and constants than one block interns by scan.
+	`set v0 k0; set v1 k1; set v2 k2; set v3 k3; set v4 k4; set v5 k5; set v6 k6; set v7 k7; set v8 k8; set v9 k9; set v10 k10; set v11 k11; set v12 k12; set v13 k13; set v14 k14; set v15 k15; set v16 k16; set v17 k17; set v18 k18; set v19 k19; set v3 k3; set v17`,
 	// Interpolated (non-literal) words through the specialized sites.
 	`set n total; set $n 3; incr $n 4; set total`,
 	`set i 2; set "v$i" x; set v2`,
 }
 
-// runEquiv evaluates script in the given mode on a fresh interpreter and
+// newEvaluator builds an interpreter on the bytecode vm (the default) or,
+// with vm false, on the classic walker: compile caches off, the referee.
+func newEvaluator(onVM bool) *Interp {
+	if onVM {
+		return New()
+	}
+	return newUncached()
+}
+
+func evaluatorName(onVM bool) string {
+	if onVM {
+		return "vm"
+	}
+	return "classic"
+}
+
+// runEquiv evaluates script on a fresh vm or classic interpreter and
 // reports everything the differential check compares. When warm is set
 // the script runs twice (state reset in between where possible is not
-// attempted — warm runs compare warm-vs-warm across modes instead).
-func runEquiv(mode EvalMode, script string, warm bool) (res Result, info string, steps int64, out string) {
+// attempted — warm runs compare warm-vs-warm across evaluators instead).
+func runEquiv(onVM bool, script string, warm bool) (res Result, info string, steps int64, out string) {
 	var sb strings.Builder
-	i := New()
-	i.SetEvalMode(mode)
+	i := newEvaluator(onVM)
 	i.Stdout = &sb
 	i.Stderr = &sb
 	i.StepLimit = 100000
@@ -90,22 +107,20 @@ func runEquiv(mode EvalMode, script string, warm bool) (res Result, info string,
 func TestVMEquivalence(t *testing.T) {
 	for _, script := range vmEquivScripts {
 		for _, warm := range []bool{false, true} {
-			rc, infoC, stepsC, outC := runEquiv(EvalClassic, script, warm)
-			for _, mode := range []EvalMode{EvalCached, EvalVM} {
-				rm, infoM, stepsM, outM := runEquiv(mode, script, warm)
-				label := fmt.Sprintf("%s warm=%v script=%q", mode, warm, script)
-				if rc != rm {
-					t.Errorf("%s: result classic=%+v got=%+v", label, rc, rm)
-				}
-				if infoC != infoM {
-					t.Errorf("%s: errorinfo classic=%q got=%q", label, infoC, infoM)
-				}
-				if stepsC != stepsM {
-					t.Errorf("%s: steps classic=%d got=%d", label, stepsC, stepsM)
-				}
-				if outC != outM {
-					t.Errorf("%s: output classic=%q got=%q", label, outC, outM)
-				}
+			rc, infoC, stepsC, outC := runEquiv(false, script, warm)
+			rm, infoM, stepsM, outM := runEquiv(true, script, warm)
+			label := fmt.Sprintf("warm=%v script=%q", warm, script)
+			if rc != rm {
+				t.Errorf("%s: result classic=%+v vm=%+v", label, rc, rm)
+			}
+			if infoC != infoM {
+				t.Errorf("%s: errorinfo classic=%q vm=%q", label, infoC, infoM)
+			}
+			if stepsC != stepsM {
+				t.Errorf("%s: steps classic=%d vm=%d", label, stepsC, stepsM)
+			}
+			if outC != outM {
+				t.Errorf("%s: output classic=%q vm=%q", label, outC, outM)
 			}
 		}
 	}
@@ -113,14 +128,14 @@ func TestVMEquivalence(t *testing.T) {
 
 // TestVMStepLimitParity pins the satellite requirement that step counts
 // are variant-neutral: a tight StepLimit must trip at the same step with
-// the same error text in all three modes.
+// the same error text on both evaluators.
 func TestVMStepLimitParity(t *testing.T) {
 	const script = `set n 0; while {1} { incr n }`
 	var ref Result
 	var refSteps int64
-	for k, mode := range []EvalMode{EvalClassic, EvalCached, EvalVM} {
-		i := New()
-		i.SetEvalMode(mode)
+	for k, onVM := range []bool{false, true} {
+		mode := evaluatorName(onVM)
+		i := newEvaluator(onVM)
 		i.StepLimit = 500
 		res := i.EvalScript(script)
 		if res.Code != Error || !strings.Contains(res.Value, "step limit exceeded") {
@@ -145,9 +160,8 @@ func TestVMStepLimitParity(t *testing.T) {
 // is identical to the classic evaluator's.
 func TestVMHookParity(t *testing.T) {
 	const script = `set a 1; incr a; if {$a > 1} { set b [expr {$a * 2}] }; foreach x {1 2} { set c $x }`
-	seq := func(mode EvalMode) (trace, hook []string) {
-		i := New()
-		i.SetEvalMode(mode)
+	seq := func(onVM bool) (trace, hook []string) {
+		i := newEvaluator(onVM)
 		i.Trace = func(depth int, words []string) {
 			trace = append(trace, fmt.Sprintf("%d:%s", depth, strings.Join(words, " ")))
 		}
@@ -155,19 +169,17 @@ func TestVMHookParity(t *testing.T) {
 			hook = append(hook, fmt.Sprintf("%d:%s", depth, name))
 		}
 		if res := i.EvalScript(script); res.Code != OK {
-			t.Fatalf("%s: %+v", mode, res)
+			t.Fatalf("%s: %+v", evaluatorName(onVM), res)
 		}
 		return trace, hook
 	}
-	traceC, hookC := seq(EvalClassic)
-	for _, mode := range []EvalMode{EvalCached, EvalVM} {
-		traceM, hookM := seq(mode)
-		if strings.Join(traceC, "\n") != strings.Join(traceM, "\n") {
-			t.Errorf("%s trace diverged:\nclassic:\n%s\ngot:\n%s", mode, strings.Join(traceC, "\n"), strings.Join(traceM, "\n"))
-		}
-		if strings.Join(hookC, "\n") != strings.Join(hookM, "\n") {
-			t.Errorf("%s dispatch hook diverged:\nclassic:\n%s\ngot:\n%s", mode, strings.Join(hookC, "\n"), strings.Join(hookM, "\n"))
-		}
+	traceC, hookC := seq(false)
+	traceM, hookM := seq(true)
+	if strings.Join(traceC, "\n") != strings.Join(traceM, "\n") {
+		t.Errorf("vm trace diverged:\nclassic:\n%s\nvm:\n%s", strings.Join(traceC, "\n"), strings.Join(traceM, "\n"))
+	}
+	if strings.Join(hookC, "\n") != strings.Join(hookM, "\n") {
+		t.Errorf("vm dispatch hook diverged:\nclassic:\n%s\nvm:\n%s", strings.Join(hookC, "\n"), strings.Join(hookM, "\n"))
 	}
 }
 
@@ -177,7 +189,6 @@ func TestVMHookParity(t *testing.T) {
 func TestVMHookMidStream(t *testing.T) {
 	const script = `set a 1; incr a 2; set a`
 	i := New()
-	i.SetEvalMode(EvalVM)
 	if res := i.EvalScript(script); res.Code != OK || res.Value != "3" {
 		t.Fatalf("cold run: %+v", res)
 	}
@@ -192,32 +203,55 @@ func TestVMHookMidStream(t *testing.T) {
 	}
 }
 
-func TestEvalModeRoundTrip(t *testing.T) {
-	for _, m := range []EvalMode{EvalClassic, EvalCached, EvalVM} {
-		got, ok := ParseEvalMode(m.String())
-		if !ok || got != m {
-			t.Errorf("ParseEvalMode(%q) = %v, %v", m.String(), got, ok)
+// TestEvalModeRoundTrip switches one interpreter between its two
+// evaluators: the vm by default, the classic walker once the compile
+// caches are off, the vm again once they are back.
+// TestHookClearedMidDispatch lets a command clear the dispatch hook that
+// is timing it, as exp_internal 0 does: the dispatch in flight still
+// reports to the hook it started with, and later ones go unobserved.
+func TestHookClearedMidDispatch(t *testing.T) {
+	for _, onVM := range []bool{false, true} {
+		i := newEvaluator(onVM)
+		var seen []string
+		i.DispatchHook = func(name string, depth int, d time.Duration) { seen = append(seen, name) }
+		i.Register("unhook", func(i *Interp, args []string) Result {
+			i.DispatchHook = nil
+			return Ok("")
+		})
+		if res := i.EvalScript(`set a 1; unhook; set b 2`); res.Code != OK {
+			t.Fatalf("%s: %+v", evaluatorName(onVM), res)
+		}
+		if got := strings.Join(seen, ","); got != "set,unhook" {
+			t.Errorf("%s: hook saw %q, want %q", evaluatorName(onVM), got, "set,unhook")
 		}
 	}
-	if _, ok := ParseEvalMode("turbo"); ok {
-		t.Errorf("ParseEvalMode accepted unknown mode")
-	}
+}
+
+func TestEvalModeRoundTrip(t *testing.T) {
 	i := New()
-	if i.EvalMode() != EvalCached {
-		t.Errorf("default mode = %v, want cached", i.EvalMode())
+	if i.vmCache == nil || i.vmExprCache == nil {
+		t.Fatal("a new interpreter does not run on the vm")
 	}
-	i.SetEvalMode(EvalVM)
 	if res := i.EvalScript(`set a 5; expr {$a * 2}`); res.Value != "10" {
 		t.Fatalf("vm eval: %+v", res)
 	}
-	// Switching modes mid-stream must keep interpreter state.
-	i.SetEvalMode(EvalClassic)
+	if _, misses, _ := i.EvalCacheStats(); misses == 0 {
+		t.Error("vm eval did not go through the compile cache")
+	}
+	// Switching evaluators mid-stream must keep interpreter state.
+	i.SetEvalCacheSize(0)
 	if res := i.EvalScript(`incr a`); res.Value != "6" {
 		t.Fatalf("classic after vm: %+v", res)
 	}
-	i.SetEvalMode(EvalVM)
+	if hits, misses, _ := i.EvalCacheStats(); hits+misses != 0 {
+		t.Errorf("classic eval reported cache traffic %d/%d", hits, misses)
+	}
+	i.SetEvalCacheSize(DefaultEvalCacheSize)
 	if res := i.EvalScript(`incr a`); res.Value != "7" {
 		t.Fatalf("vm after classic: %+v", res)
+	}
+	if _, misses, _ := i.EvalCacheStats(); misses != 1 {
+		t.Errorf("vm after classic: %d compile-cache misses, want 1", misses)
 	}
 }
 
@@ -227,7 +261,6 @@ func TestEvalModeRoundTrip(t *testing.T) {
 func TestVMMutationDetected(t *testing.T) {
 	const script = `set a 40; expr {$a + 2}`
 	i := New()
-	i.SetEvalMode(EvalVM)
 	if res := i.EvalScript(script); res.Value != "42" {
 		t.Fatalf("cold run: %+v", res)
 	}
@@ -246,8 +279,7 @@ func TestVMMutationDetected(t *testing.T) {
 	if !mutated {
 		t.Fatalf("constant pool holds no literal 40: %v", i.vmFront.prog.Consts)
 	}
-	ref := New()
-	ref.SetEvalMode(EvalClassic)
+	ref := newUncached()
 	rc := ref.EvalScript(script)
 	rv := i.EvalScript(script)
 	if rc == rv {

@@ -16,8 +16,9 @@
 //   - nil recorder or disabled mode: one nil check plus one atomic load on
 //     every instrumentation site, zero allocations. Call sites guard event
 //     construction with On(), so no argument marshalling happens either.
-//   - recording: events are copied into preallocated fixed-size slots under
-//     a mutex; steady state allocates nothing.
+//   - recording: events are copied into fixed-size slots under a mutex;
+//     the ring grows to its size in a few doublings, then allocates
+//     nothing.
 //   - diagnostics (the exp_internal rendering): formatted output per event;
 //     allocation is accepted, this mode is for humans watching a run.
 package trace
@@ -189,9 +190,13 @@ type Recorder struct {
 	jrn   atomic.Pointer[Journal]
 	epoch time.Time
 
-	mu   sync.Mutex
+	mu sync.Mutex
+	// ring grows by append until it holds size events, then wraps: event
+	// seq s lives at ring[(s-1)%size]. A short-lived engine records a few
+	// dozen dialogue events, so it never pays for the full ring.
 	ring []Event
-	next uint64 // total events ever recorded; ring index = next % len(ring)
+	size int
+	next uint64 // total events ever recorded
 	diag io.Writer
 
 	// taps are live event subscribers (the /debug/trace streaming surface);
@@ -208,7 +213,7 @@ func New(n int) *Recorder {
 	if n <= 0 {
 		n = DefaultCapacity
 	}
-	return &Recorder{ring: make([]Event, n), epoch: time.Now()}
+	return &Recorder{ring: make([]Event, 0, min(n, 64)), size: n, epoch: time.Now()}
 }
 
 const recordBit = 1
@@ -324,6 +329,7 @@ func (r *Recorder) Reset() {
 	}
 	r.mu.Lock()
 	r.next = 0
+	r.ring = r.ring[:0]
 	r.mu.Unlock()
 }
 
@@ -332,7 +338,7 @@ func (r *Recorder) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.ring)
+	return r.size
 }
 
 // Total returns how many events have ever been recorded (including those
@@ -353,14 +359,7 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.lenLocked()
-}
-
-func (r *Recorder) lenLocked() int {
-	if r.next > uint64(len(r.ring)) {
-		return len(r.ring)
-	}
-	return int(r.next)
+	return len(r.ring)
 }
 
 // record is the shared slow path: copy one event into the ring (if armed),
@@ -397,7 +396,11 @@ func (r *Recorder) record(k Kind, sid int32, a, b int64, flag bool, text string,
 	if mode&recordBit != 0 {
 		r.next++
 		ev.Seq = r.next
-		r.ring[(r.next-1)%uint64(len(r.ring))] = ev
+		if len(r.ring) < r.size {
+			r.ring = append(r.ring, ev)
+		} else {
+			r.ring[(r.next-1)%uint64(r.size)] = ev
+		}
 		payload := data
 		if payload == nil {
 			payload = textB
@@ -474,11 +477,11 @@ func (r *Recorder) Events() []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.lenLocked()
+	n := len(r.ring)
 	out := make([]Event, 0, n)
 	start := r.next - uint64(n)
 	for i := uint64(0); i < uint64(n); i++ {
-		out = append(out, r.ring[(start+i)%uint64(len(r.ring))])
+		out = append(out, r.ring[(start+i)%uint64(n)])
 	}
 	return out
 }

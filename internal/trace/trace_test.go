@@ -9,29 +9,33 @@ import (
 )
 
 func TestRingWraparound(t *testing.T) {
-	r := New(8)
-	r.SetRecording(true)
-	for i := 0; i < 20; i++ {
-		r.Record(KindRead, 0, int64(i), 0, false, fmt.Sprintf("chunk-%d", i), "")
-	}
-	if got := r.Total(); got != 20 {
-		t.Fatalf("Total = %d, want 20", got)
-	}
-	if got := r.Len(); got != 8 {
-		t.Fatalf("Len = %d, want 8 (ring capacity)", got)
-	}
-	evs := r.Events()
-	if len(evs) != 8 {
-		t.Fatalf("Events returned %d, want 8", len(evs))
-	}
-	// The ring holds exactly the last 8, oldest first, seqs 13..20.
-	for i, e := range evs {
-		wantSeq := uint64(13 + i)
-		if e.Seq != wantSeq {
-			t.Errorf("event %d: Seq = %d, want %d", i, e.Seq, wantSeq)
+	// 8 fits the initial allocation; 200 grows past it before wrapping.
+	for _, size := range []int{8, 200} {
+		r := New(size)
+		r.SetRecording(true)
+		total := 2*size + 4
+		for i := 0; i < total; i++ {
+			r.Record(KindRead, 0, int64(i), 0, false, fmt.Sprintf("chunk-%d", i), "")
 		}
-		if want := fmt.Sprintf("chunk-%d", 12+i); e.Text() != want {
-			t.Errorf("event %d: Text = %q, want %q", i, e.Text(), want)
+		if got := r.Total(); got != uint64(total) {
+			t.Fatalf("size %d: Total = %d, want %d", size, got, total)
+		}
+		if got := r.Len(); got != size || r.Cap() != size {
+			t.Fatalf("size %d: Len = %d, Cap = %d, want both %d", size, got, r.Cap(), size)
+		}
+		evs := r.Events()
+		if len(evs) != size {
+			t.Fatalf("size %d: Events returned %d", size, len(evs))
+		}
+		// The ring holds exactly the last size events, oldest first.
+		for i, e := range evs {
+			first := total - size
+			if wantSeq := uint64(first + 1 + i); e.Seq != wantSeq {
+				t.Errorf("size %d event %d: Seq = %d, want %d", size, i, e.Seq, wantSeq)
+			}
+			if want := fmt.Sprintf("chunk-%d", first+i); e.Text() != want {
+				t.Errorf("size %d event %d: Text = %q, want %q", size, i, e.Text(), want)
+			}
 		}
 	}
 }
@@ -97,7 +101,7 @@ func TestDisabledPathAllocationFree(t *testing.T) {
 }
 
 // TestEnabledRingAllocationFree: steady-state ring recording copies into
-// preallocated slots and allocates nothing per event.
+// allocated slots and allocates nothing per event.
 func TestEnabledRingAllocationFree(t *testing.T) {
 	r := New(32)
 	r.SetRecording(true)
@@ -238,5 +242,9 @@ func TestReset(t *testing.T) {
 	r.Reset()
 	if r.Len() != 0 || len(r.Events()) != 0 || len(r.Dump(0)) != 0 {
 		t.Error("Reset left events behind")
+	}
+	r.Record(KindRead, 0, 2, 0, false, "y", "")
+	if evs := r.Events(); len(evs) != 1 || evs[0].Seq != 1 || evs[0].Text() != "y" {
+		t.Errorf("after Reset the ring holds %+v, want only seq 1 %q", evs, "y")
 	}
 }
