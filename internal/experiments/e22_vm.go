@@ -18,8 +18,9 @@ import (
 // captured output, and step count. It is a condensed version of the
 // vmEquivScripts table in the tcl test suite, chosen to cross every
 // specialized opcode family (set/incr/expr/if/while/foreach), the generic
-// dispatch path, procs and frames, arrays, lazy operators, and the error
-// edges.
+// dispatch path, procs and frames, arrays (computed indices included),
+// lazy operators, quoted operands, and the error edges (word-level parse
+// errors included).
 var vmDiffScripts = []string{
 	`set a 1; set b $a; set b`,
 	`set a 0x10; set b [set a]; set b`,
@@ -42,6 +43,10 @@ var vmDiffScripts = []string{
 	`puts "a $missing b"`,
 	`rename set myset; myset z 9; myset z`,
 	`set n total; set $n 3; incr $n 4; set total`,
+	`set i k; set a(k) 3; set x $a($i)`,
+	`set n 0; catch {set x $a([incr n]} m; set n`,
+	`set y 1; set z [incr y] "a[incr y]b`,
+	`set t 0; expr {0 && "[incr t]"}; set t`,
 }
 
 // vmDiffRun evaluates one script cold and warm on the vm (onVM) or the

@@ -2,18 +2,17 @@ package tcl
 
 import "strings"
 
-// The compile-once evaluator. Classic Tcl re-lexes every script string each
-// time it is evaluated, which makes loop bodies, proc bodies, and if arms pay
-// the full parser on every iteration. compileScript instead parses a script
+// The script front end. Classic Tcl re-lexes every script string each time
+// it is evaluated, which makes loop bodies, proc bodies, and if arms pay the
+// full parser on every iteration. compileScript instead parses a script
 // string once into a command skeleton — commands of words, words of segments
 // (literal runs, $variable references, [bracket] scripts) — that the vm
-// lowers to bytecode (vm_compile.go) and that runCompiled replays, with only
-// substitution work, for the commands the lowering leaves to it. Compiled
-// skeletons are pure functions of the script text, so their lowered programs
-// are memoized in a bounded LRU keyed by the text itself (Interp.vmCache):
-// redefining a proc or renaming a command can never serve a stale body,
-// because bodies are keyed by their source and command dispatch stays
-// by-name at evaluation time.
+// lowers to bytecode (vm_compile.go). The skeleton is front-end data only:
+// nothing evaluates it. Skeletons are pure functions of the script text, so
+// their lowered programs are memoized in a bounded LRU keyed by the text
+// itself (Interp.vmCache): redefining a proc or renaming a command can never
+// serve a stale body, because bodies are keyed by their source and command
+// dispatch stays by-name at evaluation time.
 //
 // Error timing is preserved exactly: the classic evaluator parses as it
 // goes, so a syntax error after a runnable prefix surfaces only once
@@ -60,9 +59,9 @@ type compiledWord struct {
 // classic evaluator exposes through error behavior.
 type compiledCmd struct {
 	words []compiledWord
-	// litWords caches the substituted word slice when every word is
-	// literal, so replaying the command allocates nothing. Commands must
-	// treat their argument slice as read-only (they do).
+	// litWords is the word slice when every word is literal; the vm
+	// dispatches it as is, so commands must treat their argument slice as
+	// read-only (they do).
 	litWords []string
 	// bracketOK records whether the parser sits exactly on the terminating
 	// ']' after this command — the classic evaluator only accepts a
@@ -448,132 +447,4 @@ func (b *segBuilder) word() compiledWord {
 	}
 	b.flush()
 	return compiledWord{segs: b.segs}
-}
-
-// --- evaluation ---------------------------------------------------------
-
-// runCompiled replays a compiled script. atBracket reports whether the
-// parser-equivalent position sits on the terminating ']' at the point the
-// script completed — the condition under which a [bracket] substitution
-// accepts a `return` completion code (see substCompiledSeg).
-func (i *Interp) runCompiled(cs *compiledScript) (Result, bool) {
-	last := Ok("")
-	for k := range cs.cmds {
-		cmd := &cs.cmds[k]
-		words, res := i.substCompiledWords(cmd)
-		if res.Code != OK {
-			return res, false
-		}
-		if cmd.parseErr != nil {
-			// Word-level parse error: the failing word's prefix segments
-			// still substitute (for their side effects and their own,
-			// earlier errors), then the parse error surfaces.
-			if _, res := i.substSegs(cmd.partial); res.Code != OK {
-				return res, false
-			}
-			return *cmd.parseErr, false
-		}
-		if cmd.poisoned {
-			// Unreachable by construction: a poisoned word always fails
-			// substitution. Guard anyway so a logic slip cannot dispatch a
-			// half-parsed command.
-			return Errf("internal: poisoned command survived substitution"), false
-		}
-		res = i.EvalWords(words)
-		if res.Code != OK {
-			if res.Code == Error {
-				i.noteErrorLine(words)
-			}
-			return res, cmd.bracketOK
-		}
-		last = res
-	}
-	if cs.parseErr != nil {
-		return *cs.parseErr, false
-	}
-	return last, cs.endAtBracket
-}
-
-// substCompiledWords produces the fully substituted argument words of one
-// command.
-func (i *Interp) substCompiledWords(cmd *compiledCmd) ([]string, Result) {
-	if cmd.litWords != nil {
-		return cmd.litWords, Ok("")
-	}
-	words := make([]string, len(cmd.words))
-	for k := range cmd.words {
-		w := &cmd.words[k]
-		if w.segs == nil {
-			words[k] = w.lit
-			continue
-		}
-		val, res := i.substSegs(w.segs)
-		if res.Code != OK {
-			return nil, res
-		}
-		words[k] = val
-	}
-	return words, Ok("")
-}
-
-// substSegs evaluates a segment list to its string value.
-func (i *Interp) substSegs(segs []wordSeg) (string, Result) {
-	// Single-segment words skip the builder entirely.
-	if len(segs) == 1 {
-		return i.substCompiledSeg(&segs[0])
-	}
-	var sb strings.Builder
-	for k := range segs {
-		val, res := i.substCompiledSeg(&segs[k])
-		if res.Code != OK {
-			return "", res
-		}
-		sb.WriteString(val)
-	}
-	return sb.String(), Ok("")
-}
-
-// substCompiledSeg evaluates one segment.
-func (i *Interp) substCompiledSeg(seg *wordSeg) (string, Result) {
-	switch seg.kind {
-	case segLiteral:
-		return seg.text, Ok("")
-	case segVar:
-		val, ok := i.GetVar(seg.text)
-		if !ok {
-			return "", Errf("can't read %q: no such variable", seg.text)
-		}
-		return val, Ok("")
-	case segVarArr:
-		idx, res := i.substSegs(seg.index)
-		if res.Code != OK {
-			return "", res
-		}
-		if v, ok := i.lookupVar(seg.text); ok && v.isArr {
-			if val, ok := v.arr[idx]; ok {
-				return val, Ok("")
-			}
-		}
-		return "", Errf("can't read %q: no such element in array", seg.text+"("+idx+")")
-	case segVarArrOpen:
-		if _, res := i.substSegs(seg.index); res.Code != OK {
-			return "", res
-		}
-		return "", Errf(`missing ")" in array reference`)
-	case segScript:
-		out, atBracket := i.runCompiled(seg.script)
-		if out.Code == Return {
-			// The classic evaluator only accepts a return that stops
-			// exactly on the terminating ']'.
-			if !atBracket {
-				return "", Errf("missing close-bracket")
-			}
-			return out.Value, Ok("")
-		}
-		if out.Code != OK {
-			return "", out
-		}
-		return out.Value, Ok("")
-	}
-	return "", Errf("internal: unknown segment kind %d", seg.kind)
 }

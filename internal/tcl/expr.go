@@ -771,10 +771,10 @@ func (e *exprParser) funcCall(eval bool) (exprValue, Result) {
 	return applyMathFunc(name, arg)
 }
 
-// applyMathFunc evaluates a math function call, shared by the re-parsing
-// evaluator and the AST's funcNode. Argument checks and the unknown-name
-// error happen here — at evaluation, never at parse — so untaken calls are
-// free to name unknown functions.
+// applyMathFunc evaluates a math function call for the re-parsing
+// evaluator (vm.ApplyMathFunc is the vm's twin). Argument checks and the
+// unknown-name error happen here — at evaluation, never at parse — so
+// untaken calls are free to name unknown functions.
 func applyMathFunc(name string, arg exprValue) (exprValue, Result) {
 	n, ok := arg.numeric()
 	if !ok {

@@ -1,44 +1,35 @@
 package tcl
 
-import "strings"
+import (
+	"strings"
 
-// The expr AST: a parse-once form of Tcl expressions, the vm's front end
-// for expr (vm_compile.go lowers it) and its fallback for constructs the
-// lowering leaves out (Interp.vmExprCache keeps it). The classic evaluator
-// (exprParser) re-lexes the expression on every call; the AST keeps the
-// operator structure and defers only the value-dependent work — variable
-// reads, [command] scripts, quoted-string substitution, truth tests — to
-// evaluation. Laziness is preserved exactly as the runtime parser's `eval`
-// flag does it: every node is visited on every evaluation with a `taken`
-// flag, and untaken nodes skip variable reads, bracket scripts, and
-// operator application, while quoted strings substitute regardless (the
-// runtime parser substitutes them even on untaken sides, because for
-// strings parsing is substitution).
+	"repro/internal/tcl/vm"
+)
+
+// The expr AST: a parse-once form of Tcl expressions, the front end the vm
+// lowers to bytecode (vm_compile.go). The classic evaluator (exprParser)
+// re-lexes the expression on every call; the AST keeps the operator
+// structure and leaves the value-dependent work — variable reads, [command]
+// scripts, quoted-string substitution, truth tests — to the bytecode. The
+// nodes are data: nothing walks the tree at evaluation time. Laziness
+// follows the runtime parser's `eval` flag: every node runs on every
+// evaluation under a `taken` flag, and untaken nodes skip variable reads,
+// bracket scripts, and operator application, while quoted strings
+// substitute regardless (the runtime parser substitutes them even on
+// untaken sides, because for strings parsing is substitution).
 //
 // Error timing is the subtle part. The classic evaluator interleaves
 // parsing with evaluation, so an evaluation error to the LEFT of a syntax
 // error surfaces first — it is reached first in the left-to-right walk.
 // Compilation therefore never returns parse errors directly: a parse error
-// becomes an errNode evaluated in source position (errors reached later
-// stay behind errors raised earlier), deferred checks (close parenthesis,
+// becomes an errNode raised in source position (errors reached later stay
+// behind errors raised earlier), deferred checks (close parenthesis,
 // trailing garbage) become errAfterNodes that run their operand before
 // erroring, and compilation halts at the error exactly where the classic
 // parser stopped.
 
-// exprNode is one node of a compiled expression.
-type exprNode interface {
-	eval(i *Interp, taken bool) (exprValue, Result)
-}
-
-// exprAST is a compiled expression.
-type exprAST struct{ root exprNode }
-
-func (a *exprAST) run(i *Interp) (exprValue, Result) {
-	return a.root.eval(i, true)
-}
-
 // compileExpr parses text into an AST.
-func compileExpr(text string) *exprAST {
+func compileExpr(text string) exprNode {
 	ec := &exprCompiler{compiler: compiler{parser{src: text}}}
 	root := ec.ternary()
 	if !ec.halted {
@@ -49,7 +40,7 @@ func compileExpr(text string) *exprAST {
 			root = &errAfterNode{inner: root, err: Errf("syntax error in expression %q", text)}
 		}
 	}
-	return &exprAST{root: root}
+	return root
 }
 
 // exprCompiler mirrors exprParser's grammar, producing nodes instead of
@@ -125,9 +116,7 @@ func (ec *exprCompiler) and() exprNode {
 	return n
 }
 
-type applyFn func(op string, a, b exprValue) (exprValue, Result)
-
-func (ec *exprCompiler) binaryLevel(next func() exprNode, apply applyFn, ops ...string) exprNode {
+func (ec *exprCompiler) binaryLevel(next func() exprNode, ops ...string) exprNode {
 	n := next()
 	for !ec.halted {
 		op := ec.peekOp(ops...)
@@ -135,34 +124,35 @@ func (ec *exprCompiler) binaryLevel(next func() exprNode, apply applyFn, ops ...
 			break
 		}
 		ec.pos += len(op)
-		n = &binNode{op: op, apply: apply, lhs: n, rhs: next()}
+		bop, _ := vm.BinOpByName(op)
+		n = &binNode{op: bop, lhs: n, rhs: next()}
 	}
 	return n
 }
 
 func (ec *exprCompiler) bitOr() exprNode {
-	return ec.binaryLevel(ec.bitXor, applyIntOp, "|")
+	return ec.binaryLevel(ec.bitXor, "|")
 }
 func (ec *exprCompiler) bitXor() exprNode {
-	return ec.binaryLevel(ec.bitAnd, applyIntOp, "^")
+	return ec.binaryLevel(ec.bitAnd, "^")
 }
 func (ec *exprCompiler) bitAnd() exprNode {
-	return ec.binaryLevel(ec.equality, applyIntOp, "&")
+	return ec.binaryLevel(ec.equality, "&")
 }
 func (ec *exprCompiler) equality() exprNode {
-	return ec.binaryLevel(ec.relational, applyCompare, "==", "!=")
+	return ec.binaryLevel(ec.relational, "==", "!=")
 }
 func (ec *exprCompiler) relational() exprNode {
-	return ec.binaryLevel(ec.shift, applyCompare, "<=", ">=", "<", ">")
+	return ec.binaryLevel(ec.shift, "<=", ">=", "<", ">")
 }
 func (ec *exprCompiler) shift() exprNode {
-	return ec.binaryLevel(ec.additive, applyIntOp, "<<", ">>")
+	return ec.binaryLevel(ec.additive, "<<", ">>")
 }
 func (ec *exprCompiler) additive() exprNode {
-	return ec.binaryLevel(ec.multiplicative, applyArith, "+", "-")
+	return ec.binaryLevel(ec.multiplicative, "+", "-")
 }
 func (ec *exprCompiler) multiplicative() exprNode {
-	return ec.binaryLevel(ec.unaryLevel, applyArith, "*", "/", "%")
+	return ec.binaryLevel(ec.unaryLevel, "*", "/", "%")
 }
 
 func (ec *exprCompiler) unaryLevel() exprNode {
@@ -322,11 +312,15 @@ func (ec *exprCompiler) funcCall() exprNode {
 
 // --- nodes --------------------------------------------------------------
 
-// errNode is a parse error in operand position: evaluation raises it when
-// the left-to-right walk reaches this point, regardless of takenness.
-type errNode struct{ err Result }
+// exprNode is one node of a compiled expression: errNode, *errAfterNode,
+// litNode, *varNode, *bracketNode, *quotedNode, *unNode, *binNode,
+// *andNode, *orNode, *ternNode or *funcNode. The lowering switches on the
+// concrete type.
+type exprNode any
 
-func (n errNode) eval(*Interp, bool) (exprValue, Result) { return exprValue{}, n.err }
+// errNode is a parse error in operand position, raised when the
+// left-to-right walk reaches this point, regardless of takenness.
+type errNode struct{ err Result }
 
 // errAfterNode is a deferred parse check (close parenthesis, trailing
 // garbage, missing close-quote): the operand evaluates first — its errors
@@ -336,32 +330,12 @@ type errAfterNode struct {
 	err   Result
 }
 
-func (n *errAfterNode) eval(i *Interp, taken bool) (exprValue, Result) {
-	if _, res := n.inner.eval(i, taken); res.Code != OK {
-		return exprValue{}, res
-	}
-	return exprValue{}, n.err
-}
-
 // litNode is a value fixed at compile time: numbers, braced strings, bare
 // boolean words, substitution-free quoted strings, and the lone '$'.
 type litNode struct{ v exprValue }
 
-func (n litNode) eval(*Interp, bool) (exprValue, Result) { return n.v, Ok("") }
-
-// varNode reads a variable at evaluation time; untaken sides skip the read.
+// varNode reads a variable; untaken sides skip the read, index included.
 type varNode struct{ seg wordSeg }
-
-func (n *varNode) eval(i *Interp, taken bool) (exprValue, Result) {
-	if !taken {
-		return intVal(0), Ok("")
-	}
-	val, res := i.substCompiledSeg(&n.seg)
-	if res.Code != OK {
-		return exprValue{}, res
-	}
-	return operandValue(val), Ok("")
-}
 
 // bracketNode runs a compiled [command] script; untaken sides skip it but
 // reproduce the lexical skip's missing-close-bracket error.
@@ -370,189 +344,31 @@ type bracketNode struct {
 	skipOK bool
 }
 
-func (n *bracketNode) eval(i *Interp, taken bool) (exprValue, Result) {
-	if !taken {
-		if !n.skipOK {
-			return exprValue{}, Errf("missing close-bracket")
-		}
-		return intVal(0), Ok("")
-	}
-	out, atBracket := i.runCompiled(n.script)
-	if out.Code == Return {
-		if !atBracket {
-			return exprValue{}, Errf("missing close-bracket")
-		}
-		return operandValue(out.Value), Ok("")
-	}
-	if out.Code != OK {
-		return exprValue{}, out
-	}
-	return operandValue(out.Value), Ok("")
-}
-
 // quotedNode substitutes a quoted string. The substitution runs even on
 // untaken sides — for strings, parsing is substitution in the classic
 // evaluator — but the value is discarded there.
 type quotedNode struct{ segs []wordSeg }
-
-func (n *quotedNode) eval(i *Interp, taken bool) (exprValue, Result) {
-	val, res := i.substSegs(n.segs)
-	if res.Code != OK {
-		return exprValue{}, res
-	}
-	if !taken {
-		return intVal(0), Ok("")
-	}
-	return strVal(val), Ok("")
-}
 
 type unNode struct {
 	op      byte
 	operand exprNode
 }
 
-func (n *unNode) eval(i *Interp, taken bool) (exprValue, Result) {
-	v, res := n.operand.eval(i, taken)
-	if res.Code != OK || !taken {
-		return v, res
-	}
-	return applyUnary(n.op, v)
-}
-
 type binNode struct {
-	op       string
-	apply    applyFn
+	op       vm.BinOp
 	lhs, rhs exprNode
-}
-
-func (n *binNode) eval(i *Interp, taken bool) (exprValue, Result) {
-	a, res := n.lhs.eval(i, taken)
-	if res.Code != OK {
-		return a, res
-	}
-	b, res := n.rhs.eval(i, taken)
-	if res.Code != OK {
-		return b, res
-	}
-	if !taken {
-		return a, Ok("")
-	}
-	return n.apply(n.op, a, b)
 }
 
 type orNode struct{ lhs, rhs exprNode }
 
-func (n *orNode) eval(i *Interp, taken bool) (exprValue, Result) {
-	v, res := n.lhs.eval(i, taken)
-	if res.Code != OK {
-		return v, res
-	}
-	lhs := false
-	if taken {
-		b, err := v.truth()
-		if err != nil {
-			return exprValue{}, Errf("%v", err)
-		}
-		lhs = b
-	}
-	rhs, res := n.rhs.eval(i, taken && !lhs)
-	if res.Code != OK {
-		return rhs, res
-	}
-	if !taken {
-		return v, Ok("")
-	}
-	if lhs {
-		return boolVal(true), Ok("")
-	}
-	b, err := rhs.truth()
-	if err != nil {
-		return exprValue{}, Errf("%v", err)
-	}
-	return boolVal(b), Ok("")
-}
-
 type andNode struct{ lhs, rhs exprNode }
 
-func (n *andNode) eval(i *Interp, taken bool) (exprValue, Result) {
-	v, res := n.lhs.eval(i, taken)
-	if res.Code != OK {
-		return v, res
-	}
-	lhs := true
-	if taken {
-		b, err := v.truth()
-		if err != nil {
-			return exprValue{}, Errf("%v", err)
-		}
-		lhs = b
-	}
-	rhs, res := n.rhs.eval(i, taken && lhs)
-	if res.Code != OK {
-		return rhs, res
-	}
-	if !taken {
-		return v, Ok("")
-	}
-	if !lhs {
-		return boolVal(false), Ok("")
-	}
-	b, err := rhs.truth()
-	if err != nil {
-		return exprValue{}, Errf("%v", err)
-	}
-	return boolVal(b), Ok("")
-}
-
+// ternNode is cond ? left : right. A nil right arm means compilation
+// halted before the ':'; the classic parser raises the missing-":" error
+// after the cond and the taken arm have evaluated.
 type ternNode struct{ cond, left, right exprNode }
-
-func (n *ternNode) eval(i *Interp, taken bool) (exprValue, Result) {
-	c, res := n.cond.eval(i, taken)
-	if res.Code != OK {
-		return c, res
-	}
-	take := false
-	if taken {
-		b, err := c.truth()
-		if err != nil {
-			return exprValue{}, Errf("%v", err)
-		}
-		take = b
-	}
-	l, res := n.left.eval(i, taken && take)
-	if res.Code != OK {
-		return l, res
-	}
-	if n.right == nil {
-		// Compilation halted before the ':' was seen; the classic parser
-		// raises this after the cond and taken arm evaluated.
-		return exprValue{}, Errf(`missing ":" in ternary expression`)
-	}
-	r, res := n.right.eval(i, taken && !take)
-	if res.Code != OK {
-		return r, res
-	}
-	if !taken {
-		return intVal(0), Ok("")
-	}
-	if take {
-		return l, Ok("")
-	}
-	return r, Ok("")
-}
 
 type funcNode struct {
 	name string
 	arg  exprNode
-}
-
-func (n *funcNode) eval(i *Interp, taken bool) (exprValue, Result) {
-	a, res := n.arg.eval(i, taken)
-	if res.Code != OK {
-		return a, res
-	}
-	if !taken {
-		return intVal(0), Ok("")
-	}
-	return applyMathFunc(n.name, a)
 }

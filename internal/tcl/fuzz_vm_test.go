@@ -8,10 +8,10 @@ import (
 // FuzzVMEquivalence is the differential driver behind the vm: the same
 // script runs under the classic walker (the frozen referee) and the
 // register bytecode vm, and both must agree on value, error text,
-// captured output, and step count. The bytecode compiler (with the
-// skeleton and expr-AST front ends it falls back to) and the classic
-// parser are independent implementations of the same language, so any
-// divergence is a bug in one of them. Each script also runs twice in the
+// captured output, and step count. The bytecode compiler (with its
+// skeleton and expr-AST front ends) and the classic parser are
+// independent implementations of the same language, so any divergence is
+// a bug in one of them. Each script also runs twice in the
 // vm interpreter so warm inline caches and memoized programs are fuzzed,
 // not just the cold compile.
 func FuzzVMEquivalence(f *testing.F) {
@@ -40,6 +40,19 @@ func FuzzVMEquivalence(f *testing.F) {
 		`expr {0 && 1/0}`,
 		`set x 21; set y 3; expr {($x * 2 + 100 / $y) > 50 && $x % 7 <= 3 || !($y == 3)}`,
 		`set n v; set $n 9; incr $n; set v`,
+		// Computed indices, element spellings, parse errors, and quoted
+		// operands, each lowered to bytecode like any other construct.
+		`set i k; set a(k) 3; set x $a($i)`,
+		`set i nosuch; set a(k) 3; catch {set x $a($i)} msg; set msg`,
+		`set a(k) 4; set x ${a(k)}`,
+		`set n 0; catch {set x $a([incr n]} m; set n`,
+		`set y 1; set z [incr y] "a[incr y]b`,
+		`set t 0; expr {0 && "[incr t]"}; set t`,
+		`set i k; set a(k) 3; expr {$a($i) * 2}`,
+		`expr {0 && $a($nosuch)}`,
+		`expr {1 ? 2}`,
+		`expr {abs(1}`,
+		`expr {1 2}`,
 	} {
 		f.Add(s)
 	}

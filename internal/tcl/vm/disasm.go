@@ -65,9 +65,7 @@ func writeProgram(b *strings.Builder, p *Program, ind string) {
 	}
 	for k, bl := range p.Blocks {
 		fmt.Fprintf(b, "%sblock b%d src=%q\n", ind, k, bl.Src)
-		if bl.Prog != nil {
-			writeProgram(b, bl.Prog, ind+"  ")
-		}
+		writeProgram(b, bl.Prog, ind+"  ")
 	}
 	for k, e := range p.Exprs {
 		fmt.Fprintf(b, "%sexpr e%d\n", ind, k)
@@ -80,9 +78,14 @@ func operands(p *Program, in Instr) string {
 	case OpConst:
 		return fmt.Sprintf("r%d = c%d", in.Dst, in.A)
 	case OpVarRead:
+		if in.B < 0 {
+			return fmt.Sprintf("r%d = $n%d split", in.Dst, in.A)
+		}
 		return fmt.Sprintf("r%d = $n%d slot=%d", in.Dst, in.A, in.B)
 	case OpArrRead:
 		return fmt.Sprintf("r%d = $n%d(n%d) slot=%d", in.Dst, in.A, in.B, in.C)
+	case OpArrDyn:
+		return fmt.Sprintf("r%d = $n%d(r%d) slot=%d", in.Dst, in.A, in.B, in.C)
 	case OpConcat:
 		return fmt.Sprintf("r%d = r%d..r%d", in.Dst, in.A, in.A+in.B-1)
 	case OpBracket:
@@ -92,12 +95,12 @@ func operands(p *Program, in Instr) string {
 			return fmt.Sprintf("a%d lit", in.Dst)
 		}
 		return fmt.Sprintf("a%d args=r%d#%d", in.Dst, in.A, in.B)
-	case OpCmd:
-		return fmt.Sprintf("host#%d", in.A)
 	case OpJump:
 		return fmt.Sprintf("-> %04d", in.A)
 	case OpRaise:
 		return fmt.Sprintf("x%d", in.A)
+	case OpYield:
+		return fmt.Sprintf("r%d", in.A)
 	case OpSpecEnter:
 		return fmt.Sprintf("a%d generic-> %04d", in.Dst, in.A)
 	case OpTestExpr:
@@ -127,10 +130,6 @@ func operands(p *Program, in Instr) string {
 }
 
 func writeExpr(b *strings.Builder, p *ExprProg, ind string) {
-	if !p.Lowered() {
-		fmt.Fprintf(b, "%sexpr ast src=%q\n", ind, p.Src)
-		return
-	}
 	fmt.Fprintf(b, "%sexpr regs=%d ctl=%d src=%q\n", ind, p.NRegs, p.NCtl, p.Src)
 	for pc, in := range p.Code {
 		fmt.Fprintf(b, "%s  %04d %-8s %s\n", ind, pc, in.Op, eoperands(in))
@@ -146,9 +145,7 @@ func writeExpr(b *strings.Builder, p *ExprProg, ind string) {
 	}
 	for k, bl := range p.Blocks {
 		fmt.Fprintf(b, "%sblock b%d src=%q\n", ind, k, bl.Src)
-		if bl.Prog != nil {
-			writeProgram(b, bl.Prog, ind+"  ")
-		}
+		writeProgram(b, bl.Prog, ind+"  ")
 	}
 }
 
@@ -176,6 +173,13 @@ func eoperands(in EInstr) string {
 		return ""
 	case op == EFunc:
 		return fmt.Sprintf("r%d = m%d(r%d)", in.Dst, in.B, in.A)
+	case op == EWord:
+		if in.B != 0 {
+			return fmt.Sprintf("r%d = b%d quoted", in.Dst, in.A)
+		}
+		return fmt.Sprintf("r%d = b%d", in.Dst, in.A)
+	case op == ERaise:
+		return fmt.Sprintf("c%d", in.A)
 	case op == EEnd:
 		return fmt.Sprintf("r%d", in.A)
 	default:

@@ -6,13 +6,12 @@ package vm
 // Registers hold Values and are used only for building the words of one
 // command at a time; control-flow specializations (if/while/foreach) are
 // jump-threaded into the instruction stream so loop iterations never
-// re-enter the generic dispatcher. Anything the compiler cannot express —
-// words with computed array indices, commands carrying parse errors — is
-// lowered to OpCmd, which replays the original compiled command through the
-// classic substitution machinery. The fallback makes lowering total: every
-// script compiles, and the bytecode's observable behavior (results, errors,
-// ErrorInfo, step counts) is identical to the tree-walking evaluator's by
-// construction at every point where the two diverge in speed.
+// re-enter the generic dispatcher. Lowering is total: computed array
+// indices substitute into a register, and a command carrying a parse error
+// substitutes the words before it and then raises the error through
+// OpRaise, in the order the classic evaluator reaches them. The bytecode's
+// observable behavior (results, errors, ErrorInfo, step counts) is
+// identical to the classic evaluator's.
 
 // Op is a script-machine opcode.
 type Op uint8
@@ -21,12 +20,17 @@ const (
 	// OpConst loads a pooled constant: r[Dst] = Consts[A].
 	OpConst Op = iota
 	// OpVarRead reads scalar $Names[A] into r[Dst]; B is the variable
-	// inline-cache slot. A failed read aborts the command like a classic
-	// substitution error (no step charged, no ErrorInfo note).
+	// inline-cache slot, or B < 0 for an element spelling (${a(b)}) read
+	// through the interpreter's name split. A failed read aborts the
+	// command like a classic substitution error (no step charged, no
+	// ErrorInfo note).
 	OpVarRead
 	// OpArrRead reads array element $Names[A](Names[B]) into r[Dst]; C is
 	// the variable inline-cache slot.
 	OpArrRead
+	// OpArrDyn reads array element $Names[A](r[B]), a computed index, into
+	// r[Dst]; C is the variable inline-cache slot.
+	OpArrDyn
 	// OpConcat joins r[A .. A+B) into r[Dst].
 	OpConcat
 	// OpBracket runs Blocks[A] as a [bracket] substitution into r[Dst]:
@@ -37,15 +41,14 @@ const (
 	// Words are LitWords[aux.LitIdx] when every word is literal, else
 	// r[A .. A+B). Equivalent to EvalWords on the substituted words.
 	OpInvoke
-	// OpCmd replays host command #A (one compiledCmd of the source script)
-	// through the classic substitute-then-dispatch path. Universal
-	// fallback; the host table lives alongside the program.
-	OpCmd
 	// OpJump continues at pc = A.
 	OpJump
 	// OpRaise returns Raises[A] as the script result (a deferred parse
 	// error raised in source position).
 	OpRaise
+	// OpYield ends a word block (see ExprProg.Blocks) with r[A] as its
+	// value.
+	OpYield
 	// OpSpecEnter opens a specialized if/while/foreach: verify the command
 	// word still binds the canonical builtin (slot aux.SpecSlot) and that
 	// no Trace/DispatchHook is armed, then charge the dispatch step. On
@@ -79,9 +82,10 @@ const (
 )
 
 var opNames = [...]string{
-	OpConst: "const", OpVarRead: "var", OpArrRead: "arr", OpConcat: "concat",
-	OpBracket: "bracket", OpInvoke: "invoke", OpCmd: "cmd", OpJump: "jump",
-	OpRaise: "raise", OpSpecEnter: "spec", OpTestExpr: "test",
+	OpConst: "const", OpVarRead: "var", OpArrRead: "arr", OpArrDyn: "arrdyn",
+	OpConcat: "concat", OpBracket: "bracket", OpInvoke: "invoke",
+	OpJump: "jump", OpRaise: "raise", OpYield: "yield",
+	OpSpecEnter: "spec", OpTestExpr: "test",
 	OpIfBody: "ifbody", OpLoopBody: "loop", OpForeachNext: "fornext",
 	OpSpecDone: "done", OpSetVar: "setvar", OpGetVar: "getvar",
 	OpIncr: "incr", OpExprCmd: "exprcmd",
@@ -132,9 +136,9 @@ type Raise struct {
 	Msg  string
 }
 
-// Block is a nested script: the lowered program plus its source text. The
-// source is the compile→disasm→recompile identity key and the executor's
-// last-resort fallback (re-entering EvalScript) if Prog is absent.
+// Block is a nested script: the lowered program plus its source text (the
+// body text for if arms and loop bodies, empty for substitutions), shown
+// by the disassembler.
 type Block struct {
 	Prog *Program
 	Src  string
@@ -160,9 +164,6 @@ type Program struct {
 	Aux      []CmdAux
 	Foreach  []ForeachAux
 	Raises   []Raise
-	// HostCmds counts the OpCmd fallback entries; the host-side table of
-	// original commands is carried next to the program by its owner.
-	HostCmds int32
 	NRegs    int32
 	// EndAtBracket mirrors compiledScript.endAtBracket: the script ended
 	// on the ']' of a bracketed substitution.
@@ -176,10 +177,12 @@ type Program struct {
 // Expressions compile to their own instruction set over Value registers,
 // with the classic evaluator's laziness encoded as a runtime `taken` flag:
 // &&, ||, and ?: push a control frame, flip takenness for the lazy side,
-// and the join op selects or discards results exactly as the AST walker
-// does. Untaken sides still execute — variable reads and operator
-// application are skipped, value flow is preserved — so error order and
-// side effects match the classic evaluator operator for operator.
+// and the join op selects or discards results. Untaken sides still
+// execute — variable reads and operator application are skipped, value
+// flow is preserved, quoted strings still substitute — so error order and
+// side effects match the classic evaluator operator for operator. There
+// are no jumps: a parse error becomes an ERaise in source position, after
+// the operands the classic parser evaluated on its way to the error.
 
 // EOp is an expression-machine opcode.
 type EOp uint8
@@ -196,7 +199,7 @@ const (
 	// EUnary applies operator byte B to r[A]; untaken passes r[A] through.
 	EUnary
 	// Binary operators, contiguous and in BinOp order: r[Dst] = r[A] op
-	// r[B]; untaken sides yield r[A] (the lhs), matching the AST walker.
+	// r[B]; untaken sides yield r[A] (the lhs).
 	EAdd
 	ESub
 	EMul
@@ -229,6 +232,13 @@ const (
 	ETernEnd
 	// EFunc applies math function Funcs[B] to r[A]; untaken yields 0.
 	EFunc
+	// EWord runs word block Blocks[A] for a substituted operand. B == 0:
+	// a variable reference (element or computed index), skipped untaken
+	// and classified as a number when taken. B != 0: a quoted string,
+	// substituted even untaken and kept as a string.
+	EWord
+	// ERaise fails the expression with error Consts[A], taken or not.
+	ERaise
 	// EEnd finishes the expression with r[A].
 	EEnd
 )
@@ -240,7 +250,8 @@ var eopNames = [...]string{
 	EShl: "shl", EShr: "shr", EEq: "eq", ENe: "ne", ELt: "lt", EGt: "gt",
 	ELe: "le", EGe: "ge", EAndTest: "and?", EAndEnd: "and=",
 	EOrTest: "or?", EOrEnd: "or=", ETernTest: "tern?", ETernElse: "tern:",
-	ETernEnd: "tern=", EFunc: "func", EEnd: "end",
+	ETernEnd: "tern=", EFunc: "func", EWord: "word", ERaise: "raise",
+	EEnd: "end",
 }
 
 func (op EOp) String() string {
@@ -262,11 +273,10 @@ type EInstr struct {
 	Dst, A, B int32
 }
 
-// ExprProg is one compiled expression. A nil Code means the expression
-// uses a construct the compiler does not lower (quoted substitutions,
-// computed array elements, parse errors); the executor then falls back to
-// the classic AST for Src. Slot numbers are owned by the enclosing
-// program tree (or by the standalone expression entry).
+// ExprProg is one compiled expression. Blocks holds its [command] operands
+// and word blocks: programs that substitute one word and end in OpYield.
+// Slot numbers are owned by the enclosing program tree (or by the
+// standalone expression entry).
 type ExprProg struct {
 	Code   []EInstr
 	Consts []Value
@@ -277,6 +287,3 @@ type ExprProg struct {
 	NCtl   int32
 	Src    string
 }
-
-// Lowered reports whether the expression compiled to bytecode.
-func (p *ExprProg) Lowered() bool { return p != nil && p.Code != nil }

@@ -9,27 +9,26 @@ import (
 
 // The bytecode lowering pass. lowerScript turns a compiled skeleton
 // (compile.go) into a vm.Program; lowerExprText turns an expression AST
-// (expr_ast.go) into a vm.ExprProg. Lowering is total by construction:
-// any command the compiler cannot express in specialized ops — parse
-// errors, poisoned words, computed array indices — becomes an OpCmd that
-// replays the original compiledCmd through the classic substitution
-// machinery, and any expression construct outside the lowered subset
-// leaves a Code==nil ExprProg whose executor falls back to the AST. The
-// classic evaluator therefore remains the sole semantic referee; the
-// bytecode only ever reproduces it faster.
+// (expr_ast.go) into a vm.ExprProg. Lowering is total: every command and
+// every expression compiles to code. A command carrying a parse error (or
+// a poisoned word) substitutes the words before the error and then raises
+// it; an expression parse error raises in source position after the
+// operands before it; a quoted string or a computed-index operand in an
+// expression runs a word block, a nested program that substitutes one word
+// with the script-side ops. The classic evaluator remains the semantic
+// referee; the bytecode reproduces it.
 //
 // Everything here is deterministic: pools are filled in first-use walk
 // order and no map is ever iterated, which is what makes the golden
 // compile→disasm→recompile stability test meaningful.
 
 // vmPool carries the tree-global lowering state: inline-cache slot
-// counters (numbered across the whole program tree, nested blocks and
-// embedded expressions included) and the host table of OpCmd fallbacks.
+// counters, numbered across the whole program tree, nested blocks and
+// embedded expressions included.
 type vmPool struct {
 	cmdSlots  int32
 	varSlots  int32
 	specSlots int32
-	hosts     []*compiledCmd
 }
 
 func (p *vmPool) cmdSlot() int32 { s := p.cmdSlots; p.cmdSlots++; return s }
@@ -38,29 +37,23 @@ func (p *vmPool) varSlot() int32 { s := p.varSlots; p.varSlots++; return s }
 
 func (p *vmPool) specSlot() int32 { s := p.specSlots; p.specSlots++; return s }
 
-func (p *vmPool) host(c *compiledCmd) int32 {
-	p.hosts = append(p.hosts, c)
-	return int32(len(p.hosts) - 1)
-}
-
 func (p *vmPool) counts() vm.SlotCounts {
 	return vm.SlotCounts{Cmds: p.cmdSlots, Vars: p.varSlots, Specs: p.specSlots}
 }
 
-// lowerRootScript lowers a top-level skeleton, returning the program and
-// the host table its OpCmd fallbacks replay.
-func lowerRootScript(cs *compiledScript) (*vm.Program, []*compiledCmd) {
+// lowerRootScript lowers a top-level skeleton.
+func lowerRootScript(cs *compiledScript) *vm.Program {
 	pool := &vmPool{}
 	p := lowerScript(cs, pool)
 	p.Slots = pool.counts()
-	return p, pool.hosts
+	return p
 }
 
 // lowerRootExpr lowers a standalone expression (the vm expr cache entry).
-func lowerRootExpr(src string) (*vm.ExprProg, []*compiledCmd, vm.SlotCounts) {
+func lowerRootExpr(src string) (*vm.ExprProg, vm.SlotCounts) {
 	pool := &vmPool{}
 	p := lowerExprText(src, pool)
-	return p, pool.hosts, pool.counts()
+	return p, pool.counts()
 }
 
 // progBuilder accumulates one vm.Program. Registers are a per-command
@@ -78,7 +71,6 @@ type progBuilder struct {
 	aux      []vm.CmdAux
 	foreach  []vm.ForeachAux
 	raises   []vm.Raise
-	hostCmds int32
 	nreg     int32
 	maxReg   int32
 }
@@ -89,14 +81,30 @@ func lowerScript(cs *compiledScript, pool *vmPool) *vm.Program {
 		b.lowerCmd(&cs.cmds[k])
 	}
 	if cs.parseErr != nil {
-		b.emit(vm.Instr{Op: vm.OpRaise, A: b.raise(*cs.parseErr)})
+		b.emitRaise(*cs.parseErr)
 	}
+	p := b.program()
+	p.EndAtBracket = cs.endAtBracket
+	return p
+}
+
+// lowerWordBlock lowers the substitution of one word to a block that
+// yields its value: the expression machine's quoted strings and
+// element/computed-index variable operands.
+func lowerWordBlock(segs []wordSeg, pool *vmPool) *vm.Program {
+	b := &progBuilder{pool: pool}
+	dst := b.reg()
+	b.lowerSegsInto(segs, dst)
+	b.emit(vm.Instr{Op: vm.OpYield, A: dst})
+	return b.program()
+}
+
+func (b *progBuilder) program() *vm.Program {
 	return &vm.Program{
 		Code: b.code, Consts: b.consts.vals, Names: b.names.vals,
 		LitWords: b.litWords, Lists: b.lists, Blocks: b.blocks,
 		Exprs: b.exprs, Aux: b.aux, Foreach: b.foreach, Raises: b.raises,
-		HostCmds: b.hostCmds, NRegs: b.maxReg,
-		EndAtBracket: cs.endAtBracket,
+		NRegs: b.maxReg,
 	}
 }
 
@@ -164,9 +172,10 @@ func (b *progBuilder) list(items []string) int32 {
 	return int32(len(b.lists) - 1)
 }
 
-func (b *progBuilder) raise(res Result) int32 {
+// emitRaise ends the command (or substitution) in progress with res.
+func (b *progBuilder) emitRaise(res Result) {
 	b.raises = append(b.raises, vm.Raise{Code: int32(res.Code), Msg: res.Value})
-	return int32(len(b.raises) - 1)
+	b.emit(vm.Instr{Op: vm.OpRaise, A: int32(len(b.raises) - 1)})
 }
 
 func (b *progBuilder) addAux(a vm.CmdAux) int32 {
@@ -181,7 +190,6 @@ func (b *progBuilder) block(cs *compiledScript, src string) int32 {
 }
 
 // blockFromSrc compiles and lowers a body argument (if arm, loop body).
-// The source rides along as the EvalScript-equivalent fallback key.
 func (b *progBuilder) blockFromSrc(src string) int32 {
 	return b.block(compileScript(src, false), src)
 }
@@ -192,56 +200,34 @@ func (b *progBuilder) expr(src string) int32 {
 }
 
 // lowerCmd lowers one command: specialized ops when the shape allows,
-// the generic inline-cached invoke otherwise, and the OpCmd classic
-// replay for anything outside the lowered subset.
+// the generic inline-cached invoke otherwise. A command that can never
+// dispatch substitutes its words, then raises its error.
 func (b *progBuilder) lowerCmd(cmd *compiledCmd) {
-	if cmd.parseErr != nil || cmd.poisoned || !canLowerWords(cmd) {
-		b.hostCmds++
-		b.emit(vm.Instr{Op: vm.OpCmd, A: b.pool.host(cmd)})
-		return
+	switch {
+	case cmd.parseErr != nil:
+		b.lowerDoomed(cmd, *cmd.parseErr)
+	case cmd.poisoned:
+		// Unreachable by construction: a poisoned word always fails
+		// substitution. Raise anyway so a logic slip cannot dispatch a
+		// half-parsed command.
+		b.lowerDoomed(cmd, Errf("internal: poisoned command survived substitution"))
+	case !b.trySpec(cmd):
+		b.lowerInvoke(cmd)
 	}
-	if b.trySpec(cmd) {
-		return
-	}
-	b.lowerInvoke(cmd)
 }
 
-// canLowerWords reports whether every word of cmd lowers to register ops.
-func canLowerWords(cmd *compiledCmd) bool {
+// lowerDoomed substitutes a command's complete words and then the failing
+// word's partial segments, as the classic evaluator does on its way to a
+// word-level parse error, and raises err.
+func (b *progBuilder) lowerDoomed(cmd *compiledCmd, err Result) {
+	b.nreg = 0
 	for k := range cmd.words {
-		w := &cmd.words[k]
-		if w.segs == nil {
-			continue
-		}
-		for s := range w.segs {
-			if !canLowerSeg(&w.segs[s]) {
-				return false
-			}
-		}
+		b.lowerWordInto(&cmd.words[k], b.reg())
 	}
-	return true
-}
-
-func canLowerSeg(s *wordSeg) bool {
-	switch s.kind {
-	case segLiteral, segScript:
-		return true
-	case segVar:
-		// GetVar re-splits "a(b)" spellings from ${a(b)}; keep those on
-		// the classic path so the split stays in one place.
-		_, _, isElem := splitArrayRef(s.text)
-		return !isElem
-	case segVarArr:
-		// Only literal (compile-time fixed) indices lower to OpArrRead.
-		for k := range s.index {
-			if s.index[k].kind != segLiteral {
-				return false
-			}
-		}
-		return true
+	if cmd.partial != nil {
+		b.lowerSegsInto(cmd.partial, b.reg())
 	}
-	// segVarArrOpen (and any future kind) stays on the classic path.
-	return false
+	b.emitRaise(err)
 }
 
 // lowerWordInto emits the ops that leave one word's value in dst.
@@ -250,15 +236,25 @@ func (b *progBuilder) lowerWordInto(w *compiledWord, dst int32) {
 		b.emit(vm.Instr{Op: vm.OpConst, Dst: dst, A: b.konst(vm.StringValue(w.lit))})
 		return
 	}
-	if len(w.segs) == 1 {
-		b.lowerSegInto(&w.segs[0], dst)
+	b.lowerSegsInto(w.segs, dst)
+}
+
+// lowerSegsInto emits the ops that substitute a segment list into dst.
+// The segments' registers are allocated before any is lowered, so the
+// registers a computed index takes never split the concat's run.
+func (b *progBuilder) lowerSegsInto(segs []wordSeg, dst int32) {
+	if len(segs) == 1 {
+		b.lowerSegInto(&segs[0], dst)
 		return
 	}
 	base := b.nreg
-	for k := range w.segs {
-		b.lowerSegInto(&w.segs[k], b.reg())
+	for range segs {
+		b.reg()
 	}
-	b.emit(vm.Instr{Op: vm.OpConcat, Dst: dst, A: base, B: int32(len(w.segs))})
+	for k := range segs {
+		b.lowerSegInto(&segs[k], base+int32(k))
+	}
+	b.emit(vm.Instr{Op: vm.OpConcat, Dst: dst, A: base, B: int32(len(segs))})
 }
 
 func (b *progBuilder) lowerSegInto(s *wordSeg, dst int32) {
@@ -266,16 +262,30 @@ func (b *progBuilder) lowerSegInto(s *wordSeg, dst int32) {
 	case segLiteral:
 		b.emit(vm.Instr{Op: vm.OpConst, Dst: dst, A: b.konst(vm.StringValue(s.text))})
 	case segVar:
-		b.emit(vm.Instr{Op: vm.OpVarRead, Dst: dst, A: b.name(s.text), B: b.pool.varSlot()})
-	case segVarArr:
-		var idx strings.Builder
-		for k := range s.index {
-			idx.WriteString(s.index[k].text)
+		slot := int32(-1) // ${a(b)}: read through GetVar's split
+		if plainVarName(s.text) {
+			slot = b.pool.varSlot()
 		}
+		b.emit(vm.Instr{Op: vm.OpVarRead, Dst: dst, A: b.name(s.text), B: slot})
+	case segVarArr:
+		// Adjacent literals merge, so a literal index is one segment.
+		if len(s.index) == 1 && s.index[0].kind == segLiteral {
+			b.emit(vm.Instr{
+				Op: vm.OpArrRead, Dst: dst,
+				A: b.name(s.text), B: b.name(s.index[0].text), C: b.pool.varSlot(),
+			})
+			return
+		}
+		idx := b.reg()
+		b.lowerSegsInto(s.index, idx)
 		b.emit(vm.Instr{
-			Op: vm.OpArrRead, Dst: dst,
-			A: b.name(s.text), B: b.name(idx.String()), C: b.pool.varSlot(),
+			Op: vm.OpArrDyn, Dst: dst,
+			A: b.name(s.text), B: idx, C: b.pool.varSlot(),
 		})
+	case segVarArrOpen:
+		// The classic scanner substitutes the index looking for the ')'.
+		b.lowerSegsInto(s.index, b.reg())
+		b.emitRaise(Errf(`missing ")" in array reference`))
 	case segScript:
 		b.emit(vm.Instr{Op: vm.OpBracket, Dst: dst, A: b.block(s.script, "")})
 	}
@@ -537,55 +547,16 @@ func (b *progBuilder) tryForeach(cmd *compiledCmd) bool {
 
 // --- expression lowering ------------------------------------------------
 
-// lowerExprText compiles an expression to bytecode, or to an AST-fallback
-// entry (Code == nil) when the tree uses constructs outside the lowered
-// subset: quoted strings (which substitute even untaken), computed array
-// elements, parse errors, and ternaries cut short before their ':'.
+// lowerExprText compiles an expression to bytecode.
 func lowerExprText(src string, pool *vmPool) *vm.ExprProg {
-	p := &vm.ExprProg{Src: src}
-	ast := compileExpr(src)
-	if !canLowerExprNode(ast.root) {
-		return p
-	}
 	b := &exprBuilder{pool: pool}
-	root := b.lower(ast.root)
+	root := b.lower(compileExpr(src))
 	b.code = append(b.code, vm.EInstr{Op: vm.EEnd, A: root})
-	p.Code = b.code
-	p.Consts = b.consts.vals
-	p.Names = b.names.vals
-	p.Funcs = b.funcs.vals
-	p.Blocks = b.blocks
-	p.NRegs = b.nreg
-	p.NCtl = b.maxCtl
-	return p
-}
-
-func canLowerExprNode(n exprNode) bool {
-	switch t := n.(type) {
-	case litNode:
-		return true
-	case *varNode:
-		return t.seg.kind == segVar && plainVarName(t.seg.text)
-	case *bracketNode:
-		return true
-	case *unNode:
-		return canLowerExprNode(t.operand)
-	case *binNode:
-		if _, ok := vm.BinOpByName(t.op); !ok {
-			return false
-		}
-		return canLowerExprNode(t.lhs) && canLowerExprNode(t.rhs)
-	case *andNode:
-		return canLowerExprNode(t.lhs) && canLowerExprNode(t.rhs)
-	case *orNode:
-		return canLowerExprNode(t.lhs) && canLowerExprNode(t.rhs)
-	case *ternNode:
-		return t.right != nil && canLowerExprNode(t.cond) &&
-			canLowerExprNode(t.left) && canLowerExprNode(t.right)
-	case *funcNode:
-		return canLowerExprNode(t.arg)
+	return &vm.ExprProg{
+		Code: b.code, Consts: b.consts.vals, Names: b.names.vals,
+		Funcs: b.funcs.vals, Blocks: b.blocks,
+		NRegs: b.nreg, NCtl: b.maxCtl, Src: src,
 	}
-	return false
 }
 
 func vmValueOf(v exprValue) vm.Value {
@@ -602,7 +573,7 @@ func vmValueOf(v exprValue) vm.Value {
 // foldExprNode evaluates a constant subtree at compile time. Folding only
 // succeeds when every operator application succeeds, so a folded subtree
 // is provably side-effect- and error-free; its untaken-side value can
-// differ from the AST walker's (which threads lhs values through untaken
+// differ from the unfolded ops' (which pass lhs values through untaken
 // operators), but untaken values are discarded at every lazy join, so the
 // difference is unobservable.
 func foldExprNode(n exprNode) (vm.Value, bool) {
@@ -617,16 +588,12 @@ func foldExprNode(n exprNode) (vm.Value, bool) {
 		out, msg := vm.ApplyUnary(t.op, v)
 		return out, msg == ""
 	case *binNode:
-		op, ok := vm.BinOpByName(t.op)
-		if !ok {
-			return vm.Value{}, false
-		}
 		a, aok := foldExprNode(t.lhs)
 		c, cok := foldExprNode(t.rhs)
 		if !aok || !cok {
 			return vm.Value{}, false
 		}
-		out, msg := vm.ApplyBinary(op, a, c)
+		out, msg := vm.ApplyBinary(t.op, a, c)
 		return out, msg == ""
 	case *funcNode:
 		a, ok := foldExprNode(t.arg)
@@ -673,7 +640,6 @@ func (b *exprBuilder) pushCtl() {
 func (b *exprBuilder) popCtl() { b.ctl-- }
 
 // lower emits the ops evaluating n and returns the result register.
-// Callers guarantee canLowerExprNode(n).
 func (b *exprBuilder) lower(n exprNode) int32 {
 	if v, ok := foldExprNode(n); ok {
 		dst := b.reg()
@@ -681,12 +647,22 @@ func (b *exprBuilder) lower(n exprNode) int32 {
 		return dst
 	}
 	switch t := n.(type) {
+	case errNode:
+		return b.raise(t.err)
+	case *errAfterNode:
+		b.lower(t.inner)
+		return b.raise(t.err)
 	case *varNode:
+		if t.seg.kind != segVar || !plainVarName(t.seg.text) {
+			return b.word([]wordSeg{t.seg}, 0)
+		}
 		dst := b.reg()
 		b.code = append(b.code, vm.EInstr{
 			Op: vm.EVar, Dst: dst, A: b.name(t.seg.text), B: b.pool.varSlot(),
 		})
 		return dst
+	case *quotedNode:
+		return b.word(t.segs, 1)
 	case *bracketNode:
 		b.blocks = append(b.blocks, vm.Block{Prog: lowerScript(t.script, b.pool)})
 		blk := int32(len(b.blocks) - 1)
@@ -703,11 +679,10 @@ func (b *exprBuilder) lower(n exprNode) int32 {
 		b.code = append(b.code, vm.EInstr{Op: vm.EUnary, Dst: dst, A: a, B: int32(t.op)})
 		return dst
 	case *binNode:
-		op, _ := vm.BinOpByName(t.op)
 		a := b.lower(t.lhs)
 		c := b.lower(t.rhs)
 		dst := b.reg()
-		b.code = append(b.code, vm.EInstr{Op: vm.EOpOf(op), Dst: dst, A: a, B: c})
+		b.code = append(b.code, vm.EInstr{Op: vm.EOpOf(t.op), Dst: dst, A: a, B: c})
 		return dst
 	case *andNode:
 		a := b.lower(t.lhs)
@@ -732,6 +707,10 @@ func (b *exprBuilder) lower(n exprNode) int32 {
 		b.code = append(b.code, vm.EInstr{Op: vm.ETernTest, A: c})
 		b.pushCtl()
 		l := b.lower(t.left)
+		if t.right == nil {
+			b.popCtl()
+			return b.raise(Errf(`missing ":" in ternary expression`))
+		}
 		b.code = append(b.code, vm.EInstr{Op: vm.ETernElse})
 		r := b.lower(t.right)
 		b.popCtl()
@@ -744,8 +723,22 @@ func (b *exprBuilder) lower(n exprNode) int32 {
 		b.code = append(b.code, vm.EInstr{Op: vm.EFunc, Dst: dst, A: a, B: b.fn(t.name)})
 		return dst
 	}
-	// Unreachable: canLowerExprNode gates every call.
+	return b.raise(Errf("internal: unknown expression node %T", n))
+}
+
+// word lowers a substituted operand to a word block run by EWord (quoted
+// != 0 for a quoted string) and returns its result register.
+func (b *exprBuilder) word(segs []wordSeg, quoted int32) int32 {
+	b.blocks = append(b.blocks, vm.Block{Prog: lowerWordBlock(segs, b.pool)})
 	dst := b.reg()
-	b.code = append(b.code, vm.EInstr{Op: vm.EConst, Dst: dst, A: b.konst(vm.IntValue(0))})
+	b.code = append(b.code, vm.EInstr{Op: vm.EWord, Dst: dst, A: int32(len(b.blocks) - 1), B: quoted})
 	return dst
+}
+
+// raise emits an unconditional error. Its result register is never
+// written: the expression machine has no jumps, so nothing after the
+// raise runs.
+func (b *exprBuilder) raise(err Result) int32 {
+	b.code = append(b.code, vm.EInstr{Op: vm.ERaise, A: b.konst(vm.StringValue(err.Value))})
+	return b.reg()
 }

@@ -201,6 +201,19 @@ aux a0 = name="set" lit=0 cache=0 spec=-1
 aux a1 = name="puts" lit=-1 cache=1 spec=-1
 `,
 	},
+	{
+		// computed-index array read (arrdyn)
+		src: "set x $a($i)",
+		golden: `program regs=2 slots{cmds=0 vars=3 specs=1}
+  0000 var      r1 = $n0 slot=0
+  0001 arrdyn   r0 = $n1(r1) slot=1
+  0002 setvar   a0 $n2 = r0 slot=2
+name n0 = "i"
+name n1 = "a"
+name n2 = "x"
+aux a0 = name="set" lit=-1 cache=-1 spec=0
+`,
+	},
 }
 
 var disasmExprGoldens = []struct {
@@ -282,17 +295,36 @@ block b0 src=""
   aux a0 = name="cmd" lit=0 bracketok cache=0 spec=-1
 `,
 	},
+	{
+		// quoted-string word block (word/yield) and a deferred parse
+		// error (raise): the string substitutes before the error
+		src: `("v$x"`,
+		golden: `expr regs=2 ctl=0 src="(\"v$x\""
+  0000 word     r0 = b0 quoted
+  0001 raise    c0
+  0002 end      r1
+const c0 = str "looking for close parenthesis"
+block b0 src=""
+  program regs=3
+    0000 const    r1 = c0
+    0001 var      r2 = $n0 slot=0
+    0002 concat   r0 = r1..r2
+    0003 yield    r0
+  const c0 = str "v"
+  name n0 = "x"
+`,
+	},
 }
 
 func TestVMDisasmGolden(t *testing.T) {
 	for _, tc := range disasmScriptGoldens {
-		p, _ := lowerRootScript(compileScript(tc.src, false))
+		p := lowerRootScript(compileScript(tc.src, false))
 		if got := vm.Disasm(p); got != tc.golden {
 			t.Errorf("script %q disassembly changed:\n--- want ---\n%s--- got ---\n%s", tc.src, tc.golden, got)
 		}
 	}
 	for _, tc := range disasmExprGoldens {
-		p, _, _ := lowerRootExpr(tc.src)
+		p, _ := lowerRootExpr(tc.src)
 		if got := vm.DisasmExpr(p); got != tc.golden {
 			t.Errorf("expr %q disassembly changed:\n--- want ---\n%s--- got ---\n%s", tc.src, tc.golden, got)
 		}
@@ -305,15 +337,15 @@ func TestVMDisasmGolden(t *testing.T) {
 // or other iteration-order hazards.
 func TestVMDisasmStability(t *testing.T) {
 	for _, tc := range disasmScriptGoldens {
-		a, _ := lowerRootScript(compileScript(tc.src, false))
-		b, _ := lowerRootScript(compileScript(tc.src, false))
+		a := lowerRootScript(compileScript(tc.src, false))
+		b := lowerRootScript(compileScript(tc.src, false))
 		if vm.Disasm(a) != vm.Disasm(b) {
 			t.Errorf("script %q: two lowerings disagree:\n%s\nvs\n%s", tc.src, vm.Disasm(a), vm.Disasm(b))
 		}
 	}
 	for _, tc := range disasmExprGoldens {
-		a, _, _ := lowerRootExpr(tc.src)
-		b, _, _ := lowerRootExpr(tc.src)
+		a, _ := lowerRootExpr(tc.src)
+		b, _ := lowerRootExpr(tc.src)
 		if vm.DisasmExpr(a) != vm.DisasmExpr(b) {
 			t.Errorf("expr %q: two lowerings disagree:\n%s\nvs\n%s", tc.src, vm.DisasmExpr(a), vm.DisasmExpr(b))
 		}

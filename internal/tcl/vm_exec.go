@@ -48,17 +48,15 @@ type specCache struct {
 }
 
 // vmRun is the mutable runtime state of one cached program tree: the
-// OpCmd host table and the inline-cache arrays its slots index.
+// inline-cache arrays its slots index.
 type vmRun struct {
-	hosts []*compiledCmd
 	cmds  []cmdCache
 	vars  []varCache
 	specs []specCache
 }
 
-func newVMRun(hosts []*compiledCmd, sc vm.SlotCounts) vmRun {
+func newVMRun(sc vm.SlotCounts) vmRun {
 	return vmRun{
-		hosts: hosts,
 		cmds:  make([]cmdCache, sc.Cmds),
 		vars:  make([]varCache, sc.Vars),
 		specs: make([]specCache, sc.Specs),
@@ -71,11 +69,9 @@ type vmEntry struct {
 	run  vmRun
 }
 
-// vmExprEntry is one vm expression-cache entry; ast is the classic
-// fallback when the expression did not lower.
+// vmExprEntry is one vm expression-cache entry.
 type vmExprEntry struct {
 	prog *vm.ExprProg
-	ast  *exprAST
 	run  vmRun
 }
 
@@ -105,8 +101,8 @@ func (i *Interp) vmEvalScript(script string) Result {
 		var ok bool
 		e, ok = i.vmCache.Get(script)
 		if !ok {
-			prog, hosts := lowerRootScript(compileScript(script, false))
-			e = &vmEntry{prog: prog, run: newVMRun(hosts, prog.Slots)}
+			prog := lowerRootScript(compileScript(script, false))
+			e = &vmEntry{prog: prog, run: newVMRun(prog.Slots)}
 			i.vmCache.Put(script, e)
 		}
 		i.vmFront, i.vmFrontKey = e, script
@@ -124,17 +120,11 @@ func (i *Interp) vmExprValue(text string) (exprValue, Result) {
 		var ok bool
 		e, ok = i.vmExprCache.Get(text)
 		if !ok {
-			prog, hosts, slots := lowerRootExpr(text)
-			e = &vmExprEntry{prog: prog, run: newVMRun(hosts, slots)}
-			if !prog.Lowered() {
-				e.ast = compileExpr(text)
-			}
+			prog, slots := lowerRootExpr(text)
+			e = &vmExprEntry{prog: prog, run: newVMRun(slots)}
 			i.vmExprCache.Put(text, e)
 		}
 		i.vmExprFront, i.vmExprFrontKey = e, text
-	}
-	if e.ast != nil {
-		return e.ast.run(i)
 	}
 	v, res := i.runExprProg(&e.run, e.prog)
 	if res.Code != OK {
@@ -173,10 +163,10 @@ func (i *Interp) pushRegs(n int32) int {
 	return base
 }
 
-// runProgram executes a lowered script, mirroring runCompiled's
-// contract: the Result plus whether execution ended on a terminating
-// ']', plus the native-value channel for the final result (see the
-// package comment above).
+// runProgram executes a lowered script: the Result plus whether execution
+// ended on a terminating ']' (the condition under which a [bracket]
+// substitution accepts a `return`), plus the native-value channel for the
+// final result (see the package comment above).
 func (i *Interp) runProgram(r *vmRun, p *vm.Program) (Result, bool, vm.Value, bool) {
 	base := i.pushRegs(p.NRegs)
 	res, atBracket, num, numOK := i.execProgram(r, p, base)
@@ -307,9 +297,6 @@ func (i *Interp) vmSpecFast(r *vmRun, aux *vm.CmdAux) bool {
 // script step, depth bump) — the specialized twin of cmdIf/cmdWhile
 // calling i.EvalScript(body).
 func (i *Interp) vmEvalBlock(r *vmRun, blk *vm.Block) (Result, vm.Value, bool) {
-	if blk.Prog == nil {
-		return i.EvalScript(blk.Src), vm.Value{}, false
-	}
 	if i.depth >= i.MaxDepth {
 		return Errf("too many nested evaluations (infinite loop?)"), vm.Value{}, false
 	}
@@ -324,9 +311,6 @@ func (i *Interp) vmEvalBlock(r *vmRun, blk *vm.Block) (Result, vm.Value, bool) {
 
 // vmExprBool evaluates a condition expression (ExprBool semantics).
 func (i *Interp) vmExprBool(r *vmRun, p *vm.ExprProg) (bool, Result) {
-	if !p.Lowered() {
-		return i.ExprBool(p.Src)
-	}
 	v, res := i.runExprProg(r, p)
 	if res.Code != OK {
 		return false, res
@@ -362,22 +346,33 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 
 		case vm.OpVarRead:
 			name := p.Names[in.A]
-			val, ok := i.vmReadVar(r, in.B, name)
+			var val string
+			var ok bool
+			if in.B < 0 {
+				val, ok = i.GetVar(name)
+			} else {
+				val, ok = i.vmReadVar(r, in.B, name)
+			}
 			if !ok {
 				// A failed substitution aborts the command with no step
-				// charged and no ErrorInfo note, like substCompiledSeg.
+				// charged and no ErrorInfo note.
 				return Errf("can't read %q: no such variable", name), false, vm.Value{}, false
 			}
 			regs[in.Dst] = vm.StringValue(val)
 			pc++
 
-		case vm.OpArrRead:
-			name, idx := p.Names[in.A], p.Names[in.B]
-			t := i.vmVar(r, in.C, name)
-			if t == nil || !t.isArr {
-				return Errf("can't read %q: no such element in array", name+"("+idx+")"), false, vm.Value{}, false
+		case vm.OpArrRead, vm.OpArrDyn:
+			name := p.Names[in.A]
+			var idx string
+			if in.Op == vm.OpArrRead {
+				idx = p.Names[in.B]
+			} else {
+				idx = regs[in.B].Text()
 			}
-			val, ok := t.arr[idx]
+			val, ok := "", false
+			if t := i.vmVar(r, in.C, name); t != nil && t.isArr {
+				val, ok = t.arr[idx]
+			}
 			if !ok {
 				return Errf("can't read %q: no such element in array", name+"("+idx+")"), false, vm.Value{}, false
 			}
@@ -443,39 +438,15 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 			last, lastNumOK = res, false
 			pc++
 
-		case vm.OpCmd:
-			// Classic replay of one original command, byte for byte the
-			// loop body of runCompiled.
-			cmd := r.hosts[in.A]
-			words, res := i.substCompiledWords(cmd)
-			if res.Code != OK {
-				return res, false, vm.Value{}, false
-			}
-			if cmd.parseErr != nil {
-				if _, res := i.substSegs(cmd.partial); res.Code != OK {
-					return res, false, vm.Value{}, false
-				}
-				return *cmd.parseErr, false, vm.Value{}, false
-			}
-			if cmd.poisoned {
-				return Errf("internal: poisoned command survived substitution"), false, vm.Value{}, false
-			}
-			res = i.EvalWords(words)
-			if res.Code != OK {
-				if res.Code == Error {
-					i.noteErrorLine(words)
-				}
-				return res, cmd.bracketOK, vm.Value{}, false
-			}
-			last, lastNumOK = res, false
-			pc++
-
 		case vm.OpJump:
 			pc = int(in.A)
 
 		case vm.OpRaise:
 			rz := &p.Raises[in.A]
 			return Result{Code: Code(rz.Code), Value: rz.Msg}, false, vm.Value{}, false
+
+		case vm.OpYield:
+			return Ok(regs[in.A].Text()), false, vm.Value{}, false
 
 		case vm.OpSpecEnter:
 			aux := &p.Aux[in.Dst]
@@ -669,30 +640,18 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 				i.noteErrorLine(p.LitWords[aux.LitIdx])
 				return res, aux.BracketOK, vm.Value{}, false
 			}
-			ep := p.Exprs[in.A]
-			if ep.Lowered() {
-				v, res := i.runExprProg(r, ep)
-				if res.Code != OK {
-					if res.Code == Error {
-						i.noteErrorLine(p.LitWords[aux.LitIdx])
-					}
-					return res, aux.BracketOK, vm.Value{}, false
+			v, res := i.runExprProg(r, p.Exprs[in.A])
+			if res.Code != OK {
+				if res.Code == Error {
+					i.noteErrorLine(p.LitWords[aux.LitIdx])
 				}
-				last = Ok(v.Text())
-				if v.Kind() == vm.KInt {
-					lastNum, lastNumOK = v, true
-				} else {
-					lastNumOK = false
-				}
+				return res, aux.BracketOK, vm.Value{}, false
+			}
+			last = Ok(v.Text())
+			if v.Kind() == vm.KInt {
+				lastNum, lastNumOK = v, true
 			} else {
-				s, res := i.ExprString(ep.Src)
-				if res.Code != OK {
-					if res.Code == Error {
-						i.noteErrorLine(p.LitWords[aux.LitIdx])
-					}
-					return res, aux.BracketOK, vm.Value{}, false
-				}
-				last, lastNumOK = Ok(s), false
+				lastNumOK = false
 			}
 			pc++
 
@@ -742,8 +701,9 @@ func (i *Interp) runExprProg(r *vmRun, p *vm.ExprProg) (vm.Value, Result) {
 	return v, res
 }
 
-// execExpr is the expression interpreter loop. Only EBracket can grow
-// the register stack, so the window is hoisted and re-sliced after it.
+// execExpr is the expression interpreter loop. Only EBracket and EWord
+// can grow the register stack, so the window is hoisted and re-sliced
+// after them.
 func (i *Interp) execExpr(r *vmRun, p *vm.ExprProg, base int) (vm.Value, Result) {
 	var ctlArr [8]exprCtl
 	ctl := ctlArr[:0]
@@ -797,6 +757,29 @@ func (i *Interp) execExpr(r *vmRun, p *vm.ExprProg, base int) (vm.Value, Result)
 				regs[in.Dst] = vm.ClassifyOperand(out.Value)
 			}
 
+		case vm.EWord:
+			quoted := in.B != 0
+			if !taken && !quoted {
+				regs[in.Dst] = vm.IntValue(0)
+				break
+			}
+			out, _, _, _ := i.runProgram(r, p.Blocks[in.A].Prog)
+			if out.Code != OK {
+				return vm.Value{}, out
+			}
+			regs = i.vmRegs[base:]
+			switch {
+			case !taken:
+				regs[in.Dst] = vm.IntValue(0)
+			case quoted:
+				regs[in.Dst] = vm.StringValue(out.Value)
+			default:
+				regs[in.Dst] = vm.ClassifyOperand(out.Value)
+			}
+
+		case vm.ERaise:
+			return vm.Value{}, Result{Code: Error, Value: p.Consts[in.A].Text()}
+
 		case vm.EUnary:
 			if !taken {
 				regs[in.Dst] = regs[in.A]
@@ -811,10 +794,10 @@ func (i *Interp) execExpr(r *vmRun, p *vm.ExprProg, base int) (vm.Value, Result)
 		// Each binary operator gets its own case so dispatch is a single
 		// jump-table hop with the int⊗int path inline; the mixed/string
 		// path falls through to ApplyBinary. Untaken binaries pass the
-		// lhs through, as the walker does. Int semantics (flooring,
-		// zero checks, shift bounds, error strings) mirror applyArith,
-		// applyIntOp and applyCompare exactly; the differential fuzzer
-		// holds the two in lockstep.
+		// lhs through. Int semantics (flooring, zero checks, shift
+		// bounds, error strings) mirror applyArith, applyIntOp and
+		// applyCompare exactly; the differential fuzzer holds the two in
+		// lockstep.
 		case vm.EAdd:
 			if !taken {
 				regs[in.Dst] = regs[in.A]

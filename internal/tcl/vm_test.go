@@ -68,6 +68,39 @@ var vmEquivScripts = []string{
 	// Interpolated (non-literal) words through the specialized sites.
 	`set n total; set $n 3; incr $n 4; set total`,
 	`set i 2; set "v$i" x; set v2`,
+	// Computed indices, element spellings, and word-level parse errors,
+	// at top level and inside the specialized sites.
+	`set i k; set a(k) 3; set x $a($i)`,
+	`set i k; set a(k) 3; puts "<$a($i)>"`,
+	`set i k; set a(k) 3; if {1} { set x $a($i) }; set x`,
+	`set a(k) 3; foreach i {k} { set x $a($i)$i }; set x`,
+	`set i nosuch; set a(k) 3; catch {set x $a($i)} msg; set msg`,
+	`set n 0; set a(k) 1; while {$n < 2} { incr n; catch {puts $a($n)} msg }; set msg`,
+	`set a(k) 4; set x ${a(k)}`,
+	`catch {set x ${a(q)}} m; set m`,
+	`set a(k) 4; foreach v {1} { set x ${a(k)}$v }; set x`,
+	`set n 0; catch {set x $a([incr n]} m; set n`,
+	`set n 0; if {1} { catch {set x $a([incr n]} m }; list $m $n`,
+	`set y 1; set z [incr y] "a[incr y]b`,
+	`set y 1; catch {set z [incr y] "a[incr y]b} m; list $m $y`,
+	`set y 0; foreach v {1 2} { catch {puts [incr y] "$v[incr y]} m }; list $m $y`,
+	`set y 0; while {$y < 1} { catch {set q "a[incr y]"b} m }; list $m $y`,
+	// The same through the expression machine.
+	`set t 0; expr {0 && "[incr t]"}; set t`,
+	`set t 0; foreach v {1 2} { set r [expr {$v > 1 && "[incr t]"}] }; list $r $t`,
+	`set t 0; if {1 || "[incr t]"} { set r yes }; list $r $t`,
+	`catch {expr {0 && "$nosuch"}} m; set m`,
+	`set i k; set a(k) 3; expr {$a($i) * 2}`,
+	`set i k; set a(k) 3; if {$a($i) > 2} { set r big }`,
+	`set a(k) 5; expr {${a(k)} + 1}`,
+	`expr {0 && $a($nosuch)}`,
+	`set n 0; while {0 && $a([incr n])} {}; set n`,
+	`catch {expr {$a($nosuch)}} m; set m`,
+	`expr {1 ? 2}`,
+	`catch {if {1 ? 2} { set r 1 }} m; set m`,
+	`expr {abs(1}`,
+	`expr {1 2}`,
+	`set x 1; foreach v {1} { catch {set r [expr {$x + ("v$v"}]} m }; set m`,
 }
 
 // newEvaluator builds an interpreter on the bytecode vm (the default) or,

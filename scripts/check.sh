@@ -31,11 +31,14 @@ go test -count=1 -shuffle=on -short ./...
 # print a seed + minimized fault schedule as the repro recipe.
 go test -race -count=1 ./internal/conformance
 
-# Bytecode-vm leg: the vm-vs-classic equivalence table, step-limit and
-# hook parity, golden disassembly, and the mutation check proving the
-# differential harness has teeth — all under the race detector. Every
-# goexpect run below executes its script on the vm, the default.
-go test -race -count=1 -run 'TestVM|TestEvalMode|TestHook' ./internal/tcl
+# Bytecode-vm leg: the whole Tcl package under the race detector — the
+# vm-vs-classic equivalence table, step-limit and hook parity, golden
+# disassembly, the mutation check proving the differential harness has
+# teeth, and the tests pinning parse-error timing, bracket-return
+# position, quoted substitution on untaken sides and the expression
+# equivalence sweep. Every goexpect run below executes its script on the
+# vm, the default.
+go test -race -count=1 ./internal/tcl
 
 # Sharded-scheduler matrix leg: the shard unit tests plus a goexpect run
 # under -shards, proving the flag-wired path end to end.
@@ -72,9 +75,11 @@ go test -race -count=1 -run 'TestTransportContract/mux|TestConformanceScenarios'
 go test -race -count=1 -run 'TestMuxModeConservation|TestMuxCrashRecoverySoak' ./internal/load
 
 # Flake-hunting leg: the socket and gateway batteries twenty times over
-# under the race detector, so a once-in-thirty ordering bug fails here
-# instead of slipping through single runs.
+# and the load workbench's mux conservation and crash-recovery runs ten
+# times over, all under the race detector, so a once-in-thirty ordering
+# bug fails here instead of slipping through single runs.
 go test -race -count=20 ./internal/netx ./internal/netx/mux
+go test -race -count=10 -run 'TestMuxModeConservation|TestMuxCrashRecoverySoak' ./internal/load
 
 # Fuzz smoke: a short budget per differential target. The real corpora
 # live in testdata/fuzz/ and always run as plain tests above; this adds a
