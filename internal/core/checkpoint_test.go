@@ -171,11 +171,10 @@ func TestSchedulerCheckpointSeesParkedOp(t *testing.T) {
 	<-done
 }
 
-// The tentpole property: a session migrates between shards while an
-// Expect is parked, and the op resolves on the destination when the
-// child finally speaks. Event-capable transport — the doorbell must be
-// re-aimed at the destination loop.
-func TestMigrateMidExpect(t *testing.T) {
+// A session keeps its shard for life: an Expect parked on a doorbell
+// transport resolves on the owning loop when the child speaks late, and
+// ShardIndex never changes across the dialogue.
+func TestShardedParkedExpectResolvesLate(t *testing.T) {
 	sc := NewScheduler(SchedulerOptions{Shards: 2})
 	defer sc.Stop()
 	release := make(chan struct{})
@@ -188,6 +187,10 @@ func TestMigrateMidExpect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	owner := s.ShardIndex()
+	if owner < 0 {
+		t.Fatal("virtual session not shard-owned")
+	}
 	type outcome struct {
 		res *MatchResult
 		err error
@@ -199,41 +202,31 @@ func TestMigrateMidExpect(t *testing.T) {
 	}()
 	waitParked(t, sc, s)
 
-	src := s.ShardIndex()
-	dst := 1 - src
-	if err := sc.Migrate(s, dst); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.ShardIndex(); got != dst {
-		t.Fatalf("after migrate ShardIndex = %d, want %d", got, dst)
-	}
-	// Migrating to the shard that already owns it is a no-op.
-	if err := sc.Migrate(s, dst); err != nil {
-		t.Fatal(err)
-	}
-
 	close(release)
 	out := <-resCh
 	if out.err != nil {
 		t.Fatal(out.err)
 	}
 	if !strings.Contains(out.res.Text, "done") {
-		t.Fatalf("migrated expect matched %q", out.res.Text)
+		t.Fatalf("parked expect matched %q", out.res.Text)
+	}
+	if got := s.ShardIndex(); got != owner {
+		t.Fatalf("ShardIndex = %d after the dialogue, want %d", got, owner)
 	}
 	s.Close()
 }
 
-// Feeder-path migration: a pipe transport has a dedicated reader that
-// keeps posting to the old shard forever; chunks must still reach the
-// buffer in order and wake the op on the new owner.
-func TestMigrateFeederSession(t *testing.T) {
+// Feeder path: a pipe transport's dedicated reader posts to the owning
+// shard's queue, and a parked Expect resolves there after Send.
+func TestShardedFeederExpectResolvesAfterSend(t *testing.T) {
 	sc := NewScheduler(SchedulerOptions{Shards: 2})
 	defer sc.Stop()
 	s, err := SpawnPipeCommand(&Config{Sched: sc}, "cat")
 	if err != nil {
 		t.Skipf("cannot spawn cat: %v", err)
 	}
-	if s.ShardIndex() < 0 {
+	owner := s.ShardIndex()
+	if owner < 0 {
 		t.Fatal("pipe session not shard-owned")
 	}
 	type outcome struct {
@@ -247,10 +240,6 @@ func TestMigrateFeederSession(t *testing.T) {
 	}()
 	waitParked(t, sc, s)
 
-	dst := 1 - s.ShardIndex()
-	if err := sc.Migrate(s, dst); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Send("hello-echo\n"); err != nil {
 		t.Fatal(err)
 	}
@@ -261,12 +250,14 @@ func TestMigrateFeederSession(t *testing.T) {
 	if !strings.Contains(out.res.Text, "hello-echo") {
 		t.Fatalf("matched %q", out.res.Text)
 	}
+	if got := s.ShardIndex(); got != owner {
+		t.Fatalf("ShardIndex = %d after the dialogue, want %d", got, owner)
+	}
 	s.Close()
 }
 
-// A parked deadline travels with the migration: the destination loop
-// must fire it.
-func TestMigrateTimeoutFiresOnDestination(t *testing.T) {
+// A parked deadline fires on the owning loop.
+func TestShardedParkedDeadlineFiresOnOwner(t *testing.T) {
 	sc := NewScheduler(SchedulerOptions{Shards: 2})
 	defer sc.Stop()
 	s, err := SpawnProgram(&Config{Sched: sc}, "mute", func(stdin io.Reader, stdout io.Writer) error {
@@ -276,6 +267,7 @@ func TestMigrateTimeoutFiresOnDestination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	owner := s.ShardIndex()
 	type outcome struct {
 		res *MatchResult
 		err error
@@ -286,10 +278,6 @@ func TestMigrateTimeoutFiresOnDestination(t *testing.T) {
 		resCh <- outcome{res, err}
 	}()
 	waitParked(t, sc, s)
-	dst := 1 - s.ShardIndex()
-	if err := sc.Migrate(s, dst); err != nil {
-		t.Fatal(err)
-	}
 	select {
 	case out := <-resCh:
 		if out.err != nil {
@@ -299,27 +287,10 @@ func TestMigrateTimeoutFiresOnDestination(t *testing.T) {
 			t.Fatalf("want timeout case, got %+v", out.res)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("migrated deadline never fired on the destination")
+		t.Fatal("parked deadline never fired on the owning loop")
 	}
-	s.Close()
-}
-
-func TestMigrateErrors(t *testing.T) {
-	sc := NewScheduler(SchedulerOptions{Shards: 2})
-	defer sc.Stop()
-	s, err := SpawnProgram(&Config{Sched: sc}, "p", func(stdin io.Reader, stdout io.Writer) error {
-		io.Copy(io.Discard, stdin)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Migrate(s, 99); err == nil {
-		t.Fatal("out-of-range shard accepted")
-	}
-	manual := NewManualSession(nil, "m")
-	if err := sc.Migrate(manual, 0); err == nil {
-		t.Fatal("pump/manual session migrated")
+	if got := s.ShardIndex(); got != owner {
+		t.Fatalf("ShardIndex = %d after the dialogue, want %d", got, owner)
 	}
 	s.Close()
 }
@@ -345,28 +316,5 @@ func TestEngineCheckpointGlobalsRoundTrip(t *testing.T) {
 	}
 	if v, _ := e2.Interp.GlobalGet("cfg(host)"); v != "deep" {
 		t.Fatalf("cfg(host) = %q", v)
-	}
-}
-
-func TestEngineMigrateSessionByID(t *testing.T) {
-	e := NewEngine(EngineOptions{Shards: 2})
-	defer e.Shutdown()
-	e.RegisterVirtual("mute", func(stdin io.Reader, stdout io.Writer) error {
-		io.Copy(io.Discard, stdin)
-		return nil
-	})
-	s, id, err := e.Spawn("mute")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := 1 - s.ShardIndex()
-	if err := e.MigrateSession(id, dst); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.ShardIndex(); got != dst {
-		t.Fatalf("ShardIndex = %d, want %d", got, dst)
-	}
-	if err := e.MigrateSession(id+100, 0); err == nil {
-		t.Fatal("unknown spawn id migrated")
 	}
 }

@@ -184,17 +184,6 @@ func (e *Engine) RegisterRemoteMux(name, addr string) {
 	e.muxRemotes[name] = addr
 }
 
-// MuxPoolOptions presets the engine-owned mux pool's options. It must be
-// called before the first mux spawn; afterwards the pool exists and the
-// options are frozen.
-func (e *Engine) MuxPoolOptions(opt netx.MuxOptions) {
-	e.muxMu.Lock()
-	defer e.muxMu.Unlock()
-	if e.muxPool == nil {
-		e.muxPool = netx.NewMuxPool(opt)
-	}
-}
-
 // muxPoolLazy returns the engine-owned pool, creating it with defaults on
 // first use.
 func (e *Engine) muxPoolLazy() *netx.MuxPool {

@@ -151,15 +151,15 @@ func (sh *shard) inspect(now time.Time) ShardSnapshot {
 // telemetry plane must stay readable while the daemon drains, and an
 // empty shard is the truthful answer once its loop has exited.
 func (sh *shard) requestInspect() ShardSnapshot {
-	mig := &migration{insp: make(chan ShardSnapshot, 1)}
+	insp := make(chan ShardSnapshot, 1)
 	select {
-	case sh.cmds <- shardMsg{kind: msgInspect, mig: mig}:
+	case sh.cmds <- shardMsg{kind: msgInspect, insp: insp}:
 		sh.noteDepth(len(sh.cmds))
 	case <-sh.done:
 		return ShardSnapshot{Shard: sh.idx}
 	}
 	select {
-	case snap := <-mig.insp:
+	case snap := <-insp:
 		return snap
 	case <-sh.done:
 		return ShardSnapshot{Shard: sh.idx}
@@ -295,7 +295,7 @@ func (e *Engine) SessionInfos() []SessionInfo {
 	}
 	out := make([]SessionInfo, 0, len(sessions))
 	for _, s := range sessions {
-		if info, ok := bySID[s.sid]; ok && s.owningShard() != nil {
+		if info, ok := bySID[s.sid]; ok && s.shard != nil {
 			out = append(out, info)
 			continue
 		}

@@ -82,13 +82,14 @@ type Config struct {
 	// Spawn options passed through to the transport layer.
 	SpawnOptions proc.Options
 	// NetOptions configures the socket transport for SpawnNetwork sessions
-	// (buffer caps, segment pool, legacy copying mode, poller opt-out).
-	// ReadBuf defaults from SpawnOptions.BufferCap when unset.
+	// (buffer caps, segment pool, poller opt-out). ReadBuf defaults from
+	// SpawnOptions.BufferCap when unset.
 	NetOptions netx.Options
 	// Ingest, when non-nil, receives copied/handed-off byte accounting
 	// from the whole ingest path — socket inbox and match-buffer append —
-	// for the zero-copy experiments. Defaults NetOptions.Stats when that
-	// is unset.
+	// for the zero-copy experiments. It is the one place to name the
+	// sink: SpawnNetwork hands it to the socket when NetOptions.Stats is
+	// unset.
 	Ingest *metrics.IngestStats
 	// Mux, when non-nil, is the pooled gateway client SpawnMux opens
 	// streams on: many sessions share a few framed TCP connections
@@ -143,17 +144,18 @@ type Session struct {
 	pumpOnce sync.Once
 
 	// Sharded-scheduler state (nil/zero for pump-driven sessions): the
-	// owning shard, the hash key it was assigned with, and the ingest
+	// owning shard, written once by adopt before the session is published
+	// and never again (so it is read without the lock), and the ingest
 	// flags its loop coordinates on.
 	shard      *shard
-	shardKey   uint64
 	notifyMode bool
 	inDirty    atomic.Bool
-	shardEOF   atomic.Bool
-	// stepPending is owned by the shard loop: set when a feeder chunk
-	// arrives mid-batch, cleared when the post-batch sweep steps the
-	// session. It coalesces match attempts to one per ingest batch, the
-	// same granularity the pump's wakeup gives the classic cond-wait path.
+	// shardEOF and stepPending are owned by the shard loop. shardEOF marks
+	// EOF applied. stepPending is set when a feeder chunk arrives
+	// mid-batch, cleared when the post-batch sweep steps the session. It
+	// coalesces match attempts to one per ingest batch, the same
+	// granularity the pump's wakeup gives the classic cond-wait path.
+	shardEOF    bool
 	stepPending bool
 	// ownedMode marks a shard-owned session whose transport hands chunks
 	// over by ownership transfer (TryReadOwned) instead of copying drains.
@@ -369,9 +371,6 @@ func newSession(cfg *Config, name string, p *proc.Process, rw io.ReadWriteCloser
 		s.rec = cfg.Rec
 		s.sid = cfg.SID
 		s.ingest = cfg.Ingest
-		if s.ingest == nil {
-			s.ingest = cfg.NetOptions.Stats
-		}
 		if cfg.ScreenRows > 0 && cfg.ScreenCols > 0 {
 			s.screen = vt.NewScreen(cfg.ScreenRows, cfg.ScreenCols)
 		}
@@ -389,29 +388,10 @@ func newSession(cfg *Config, name string, p *proc.Process, rw io.ReadWriteCloser
 // ShardIndex returns the shard that owns this session, or -1 for
 // pump-driven sessions.
 func (s *Session) ShardIndex() int {
-	sh := s.owningShard()
-	if sh == nil {
+	if s.shard == nil {
 		return -1
 	}
-	return sh.idx
-}
-
-// owningShard reads the current shard owner under the session lock;
-// Migrate rewrites it mid-life, so unlocked reads of s.shard are only
-// safe before adoption completes.
-func (s *Session) owningShard() *shard {
-	s.mu.Lock()
-	sh := s.shard
-	s.mu.Unlock()
-	return sh
-}
-
-// setShard flips the ownership pointer; called only from the source
-// loop's detach step.
-func (s *Session) setShard(sh *shard) {
-	s.mu.Lock()
-	s.shard = sh
-	s.mu.Unlock()
+	return s.shard.idx
 }
 
 // isTransient reports whether a read/write error is a retryable transient

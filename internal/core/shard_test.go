@@ -165,13 +165,16 @@ func TestShardAssignmentStability(t *testing.T) {
 	if len(observed) != len(all) {
 		t.Fatalf("observed %d sessions, spawned %d", len(observed), len(all))
 	}
-	for _, s := range all {
+	for i, s := range all {
 		shards := observed[s]
 		if len(shards) != 1 {
 			t.Fatalf("session %s observed by shards %v, want exactly one", s.Name(), shards)
 		}
-		if want := ShardHash(s.shardKey, 8); shards[0] != want {
-			t.Errorf("session %s on shard %d, key %d hashes to %d", s.Name(), shards[0], s.shardKey, want)
+		// Keys are handed out in adoption order starting at 1, and every
+		// session here was spawned on this scheduler one after another.
+		key := uint64(i + 1)
+		if want := ShardHash(key, 8); shards[0] != want {
+			t.Errorf("session %s on shard %d, key %d hashes to %d", s.Name(), shards[0], key, want)
 		}
 		if s.ShardIndex() != shards[0] {
 			t.Errorf("session %s ShardIndex()=%d, observed %d", s.Name(), s.ShardIndex(), shards[0])

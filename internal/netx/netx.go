@@ -51,12 +51,6 @@ type Options struct {
 	// (bytes, default 64 KiB). A full inbox blocks the producer — the
 	// inbound backpressure bound.
 	ReadBuf int
-	// PollInterval is the rolling read deadline the fallback reader arms
-	// on the socket (default 1s). Deadline expiries are transport
-	// plumbing, absorbed as transient retries; they are never mapped to
-	// EOF or to the engine's timeout semantics. Negative disables the
-	// deadline. The epoll readiness loop needs no poll deadline at all.
-	PollInterval time.Duration
 	// WriteStall, when > 0, bounds how long one Write may block on a peer
 	// that never drains; past it the write fails with ErrWriteStall
 	// (non-transient, so the engine gives up instead of retrying).
@@ -76,11 +70,10 @@ type Options struct {
 }
 
 const (
-	defaultReadBuf      = 64 << 10
-	defaultPollInterval = time.Second
-	defaultDialTimeout  = 10 * time.Second
-	minReadChunk        = 4096
-	maxReadChunk        = 64 << 10
+	defaultReadBuf     = 64 << 10
+	defaultDialTimeout = 10 * time.Second
+	minReadChunk       = 4096
+	maxReadChunk       = 64 << 10
 )
 
 // ErrWriteStall reports a Write that exceeded Options.WriteStall against a
@@ -111,16 +104,6 @@ func (o Options) readChunk() int {
 		c = maxReadChunk
 	}
 	return c
-}
-
-func (o Options) pollInterval() time.Duration {
-	if o.PollInterval == 0 {
-		return defaultPollInterval
-	}
-	if o.PollInterval < 0 {
-		return 0
-	}
-	return o.PollInterval
 }
 
 func (o Options) dialTimeout() time.Duration {
@@ -232,17 +215,14 @@ func (n *Conn) finish(err error) {
 }
 
 // reader is the fallback transport-owned goroutine: socket → inbox, with
-// the rolling poll deadline and the EOF/RST → disposition mapping. A
-// clean FIN or a local Close finishes the inbox with io.EOF; a reset (or
-// any other hard error) preserves the error so the session's exit
-// disposition reports what actually happened on the wire. Each read
-// lands in a leased segment queued whole — no copy.
+// the EOF/RST → disposition mapping. It blocks in Read with no deadline;
+// Close unblocks it (net.ErrClosed). A clean FIN or a local Close
+// finishes the inbox with io.EOF; a reset (or any other hard error)
+// preserves the error so the session's exit disposition reports what
+// actually happened on the wire. Each read lands in a leased segment
+// queued whole — no copy.
 func (n *Conn) reader() {
-	poll := n.opt.pollInterval()
 	for {
-		if poll > 0 {
-			n.c.SetReadDeadline(time.Now().Add(poll))
-		}
 		seg := n.pool.Get()
 		k, err := n.c.Read(seg.buf)
 		if k > 0 {
@@ -258,10 +238,6 @@ func (n *Conn) reader() {
 			continue
 		}
 		switch {
-		case errors.Is(err, os.ErrDeadlineExceeded):
-			// Poll tick: transport plumbing, not a dialogue event. The
-			// engine's own Expect timer is the only timeout semantics.
-			continue
 		case isTransient(err):
 			continue
 		case n.closed.Load() || errors.Is(err, net.ErrClosed):
@@ -279,11 +255,11 @@ func (n *Conn) reader() {
 }
 
 // isTransient mirrors the engine's retry test: anything advertising
-// Temporary() that is not a deadline expiry (deadlines are handled above).
+// Temporary(). The reader arms no read deadline, so no deadline expiry
+// can reach it.
 func isTransient(err error) bool {
 	var temp interface{ Temporary() bool }
-	return errors.As(err, &temp) && temp.Temporary() &&
-		!errors.Is(err, os.ErrDeadlineExceeded)
+	return errors.As(err, &temp) && temp.Temporary()
 }
 
 // Read blocks for inbound bytes, returning the terminal disposition

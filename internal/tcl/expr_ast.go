@@ -30,7 +30,7 @@ import (
 
 // compileExpr parses text into an AST.
 func compileExpr(text string) exprNode {
-	ec := &exprCompiler{compiler: compiler{parser{src: text}}}
+	ec := &exprCompiler{compiler: compiler{parser{src: text}}, open: make([]exprNode, 0, 8)}
 	root := ec.ternary()
 	if !ec.halted {
 		ec.skipSpace()
@@ -48,10 +48,32 @@ func compileExpr(text string) exprNode {
 // quoted strings, variable references, and bracket operands. halted is set
 // when compilation hit a parse error or a poisoned embedded script; the
 // classic parser never looks past that point, so neither does compilation —
-// every level unwinds without consuming further operators.
+// every level unwinds without consuming further operators. open lists
+// the constructs open at the current position, outermost first: an
+// operator node awaiting its operand, or an errNode for one that must see
+// its closing token next (a then-arm's ':', a group's or function's ')').
 type exprCompiler struct {
 	compiler
 	halted bool
+	open   []exprNode
+}
+
+// The open constructs that need no node of their own: an && or || tests
+// its rhs's truth, and the three closing checks raise.
+var (
+	openAnd   exprNode = &andNode{}
+	openOr    exprNode = &orNode{}
+	openColon exprNode = errNode{Errf(`missing ":" in ternary expression`)}
+	openParen exprNode = errNode{Errf("looking for close parenthesis")}
+	openFunc  exprNode = errNode{Errf("missing close parenthesis in function call")}
+)
+
+// operand parses one operand of the open construct o.
+func (ec *exprCompiler) operand(o exprNode, parse func() exprNode) exprNode {
+	ec.open = append(ec.open, o)
+	n := parse()
+	ec.open = ec.open[:len(ec.open)-1]
+	return n
 }
 
 // fail records a parse error raised at this source position.
@@ -82,7 +104,7 @@ func (ec *exprCompiler) ternary() exprNode {
 		return cond
 	}
 	ec.pos++ // consume '?'
-	left := ec.ternary()
+	left := ec.operand(openColon, ec.ternary)
 	if ec.halted {
 		return &ternNode{cond: cond, left: left}
 	}
@@ -102,7 +124,7 @@ func (ec *exprCompiler) or() exprNode {
 	n := ec.and()
 	for !ec.halted && ec.peekOp("||") != "" {
 		ec.pos += 2
-		n = &orNode{lhs: n, rhs: ec.and()}
+		n = &orNode{lhs: n, rhs: ec.operand(openOr, ec.and)}
 	}
 	return n
 }
@@ -111,7 +133,7 @@ func (ec *exprCompiler) and() exprNode {
 	n := ec.bitOr()
 	for !ec.halted && ec.peekOp("&&") != "" {
 		ec.pos += 2
-		n = &andNode{lhs: n, rhs: ec.bitOr()}
+		n = &andNode{lhs: n, rhs: ec.operand(openAnd, ec.bitOr)}
 	}
 	return n
 }
@@ -125,7 +147,9 @@ func (ec *exprCompiler) binaryLevel(next func() exprNode, ops ...string) exprNod
 		}
 		ec.pos += len(op)
 		bop, _ := vm.BinOpByName(op)
-		n = &binNode{op: bop, lhs: n, rhs: next()}
+		bn := &binNode{op: bop, lhs: n}
+		bn.rhs = ec.operand(bn, next)
+		n = bn
 	}
 	return n
 }
@@ -164,7 +188,9 @@ func (ec *exprCompiler) unaryLevel() exprNode {
 				break
 			}
 			ec.pos++
-			return &unNode{op: c, operand: ec.unaryLevel()}
+			un := &unNode{op: c}
+			un.operand = ec.operand(un, ec.unaryLevel)
+			return un
 		}
 	}
 	return ec.primary()
@@ -178,7 +204,7 @@ func (ec *exprCompiler) primary() exprNode {
 	switch c := ec.src[ec.pos]; {
 	case c == '(':
 		ec.pos++
-		n := ec.ternary()
+		n := ec.operand(openParen, ec.ternary)
 		if ec.halted {
 			return n
 		}
@@ -191,8 +217,11 @@ func (ec *exprCompiler) primary() exprNode {
 		return n
 	case c == '$':
 		seg, n, res, poisoned := ec.compileVarRef()
-		if res.Code != OK {
-			return ec.fail(res)
+		switch {
+		case res.Code != OK:
+			return ec.skipRef(errNode{res})
+		case seg.kind == segLiteral && ec.pos+n < len(ec.src) && ec.src[ec.pos+n] == '(':
+			return ec.skipRef(nil)
 		}
 		ec.pos += n
 		if poisoned {
@@ -247,6 +276,28 @@ func (ec *exprCompiler) primary() exprNode {
 	}
 }
 
+// skipRef compiles a $-reference that fails to parse (fail, as for an
+// unclosed ${name) or a bare '$' before '('. Untaken, the classic
+// evaluator passes over either with its lexical skip (skipVarRef), and so
+// does compilation. Taken, the first raises; the second yields "$" and
+// the '(' stops the parse, so each open construct, innermost first,
+// applies its operator until one needing a closing token raises (trailing
+// garbage when none is open). That unwind is the node's tail.
+func (ec *exprCompiler) skipRef(fail exprNode) exprNode {
+	ec.pos += (&exprParser{src: ec.src, pos: ec.pos}).skipVarRef()
+	if fail != nil {
+		return &skipRefNode{tail: []exprNode{fail}}
+	}
+	var tail []exprNode
+	for k := len(ec.open) - 1; k >= 0; k-- {
+		tail = append(tail, ec.open[k])
+		if _, closing := ec.open[k].(errNode); closing {
+			return &skipRefNode{tail: tail}
+		}
+	}
+	return &skipRefNode{tail: append(tail, errNode{Errf("syntax error in expression %q", ec.src)})}
+}
+
 // compileQuotedLoose compiles a quoted-string operand to its substitution
 // segments (the expression form has no word-boundary check after the close
 // quote). An unterminated string still substitutes its prefix before the
@@ -297,7 +348,7 @@ func (ec *exprCompiler) funcCall() exprNode {
 		return ec.fail(Errf("syntax error in expression: unexpected bare word %q", name))
 	}
 	ec.pos++
-	arg := ec.ternary()
+	arg := ec.operand(openFunc, ec.ternary)
 	if ec.halted {
 		return &funcNode{name: name, arg: arg}
 	}
@@ -314,8 +365,8 @@ func (ec *exprCompiler) funcCall() exprNode {
 
 // exprNode is one node of a compiled expression: errNode, *errAfterNode,
 // litNode, *varNode, *bracketNode, *quotedNode, *unNode, *binNode,
-// *andNode, *orNode, *ternNode or *funcNode. The lowering switches on the
-// concrete type.
+// *andNode, *orNode, *ternNode, *funcNode or *skipRefNode. The lowering
+// switches on the concrete type.
 type exprNode any
 
 // errNode is a parse error in operand position, raised when the
@@ -354,9 +405,12 @@ type unNode struct {
 	operand exprNode
 }
 
+// binNode's lhsReg is the lowering's register for lhs, read by a
+// skipRefNode in rhs.
 type binNode struct {
 	op       vm.BinOp
 	lhs, rhs exprNode
+	lhsReg   int32
 }
 
 type orNode struct{ lhs, rhs exprNode }
@@ -372,3 +426,7 @@ type funcNode struct {
 	name string
 	arg  exprNode
 }
+
+// skipRefNode is a $-reference skipped lexically when untaken (see
+// skipRef): untaken it yields 0; taken it applies tail to "$" and raises.
+type skipRefNode struct{ tail []exprNode }

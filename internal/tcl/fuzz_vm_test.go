@@ -53,6 +53,10 @@ func FuzzVMEquivalence(f *testing.F) {
 		`expr {1 ? 2}`,
 		`expr {abs(1}`,
 		`expr {1 2}`,
+		// Untaken '$(' takes the lexical skip's extent.
+		`expr 00&&$(0`,
+		`expr {0 && $(x)}`,
+		`expr {1 ? 2 : $(y)}`,
 	} {
 		f.Add(s)
 	}

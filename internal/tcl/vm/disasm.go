@@ -179,6 +179,9 @@ func eoperands(in EInstr) string {
 		}
 		return fmt.Sprintf("r%d = b%d", in.Dst, in.A)
 	case op == ERaise:
+		if in.B != 0 {
+			return fmt.Sprintf("c%d taken", in.A)
+		}
 		return fmt.Sprintf("c%d", in.A)
 	case op == EEnd:
 		return fmt.Sprintf("r%d", in.A)

@@ -237,7 +237,8 @@ const (
 	// and classified as a number when taken. B != 0: a quoted string,
 	// substituted even untaken and kept as a string.
 	EWord
-	// ERaise fails the expression with error Consts[A], taken or not.
+	// ERaise fails the expression with error Consts[A], taken or not;
+	// with B != 0 only when taken.
 	ERaise
 	// EEnd finishes the expression with r[A].
 	EEnd

@@ -680,6 +680,7 @@ func (b *exprBuilder) lower(n exprNode) int32 {
 		return dst
 	case *binNode:
 		a := b.lower(t.lhs)
+		t.lhsReg = a
 		c := b.lower(t.rhs)
 		dst := b.reg()
 		b.code = append(b.code, vm.EInstr{Op: vm.EOpOf(t.op), Dst: dst, A: a, B: c})
@@ -722,8 +723,38 @@ func (b *exprBuilder) lower(n exprNode) int32 {
 		dst := b.reg()
 		b.code = append(b.code, vm.EInstr{Op: vm.EFunc, Dst: dst, A: a, B: b.fn(t.name)})
 		return dst
+	case *skipRefNode:
+		return b.skipRef(t)
 	}
 	return b.raise(Errf("internal: unknown expression node %T", n))
+}
+
+// skipRef lowers a skipped reference's taken-side tail in place, then 0
+// for the untaken side: every tail op is taken-aware and its final raise
+// taken-only. An open && or || tests the "$" side's truth in a frame of
+// its own.
+func (b *exprBuilder) skipRef(t *skipRefNode) int32 {
+	cur := b.lower(litNode{v: strVal("$")})
+	for _, o := range t.tail {
+		in := vm.EInstr{Dst: b.reg(), B: cur}
+		switch n := o.(type) {
+		case *binNode:
+			in.Op, in.A = vm.EOpOf(n.op), n.lhsReg
+		case *unNode:
+			in.Op, in.A, in.B = vm.EUnary, cur, int32(n.op)
+		case errNode:
+			in.Op, in.A, in.B = vm.ERaise, b.konst(vm.StringValue(n.err.Value)), 1
+		default:
+			one := b.lower(litNode{v: intVal(1)})
+			b.code = append(b.code, vm.EInstr{Op: vm.EAndTest, A: one})
+			b.pushCtl()
+			b.popCtl()
+			in.Op, in.A = vm.EAndEnd, one
+		}
+		b.code = append(b.code, in)
+		cur = in.Dst
+	}
+	return b.lower(litNode{v: intVal(0)})
 }
 
 // word lowers a substituted operand to a word block run by EWord (quoted

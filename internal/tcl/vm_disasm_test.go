@@ -314,6 +314,28 @@ block b0 src=""
   name n0 = "x"
 `,
 	},
+	{
+		// skipped reference (taken-only raise): an untaken '$(' yields 0
+		// past its balanced parentheses; taken, the "$" unwinds through
+		// the open && to the trailing-garbage error
+		src: `0 && $(x)`,
+		golden: `expr regs=7 ctl=2 src="0 && $(x)"
+  0000 const    r0 = c0
+  0001 and?     r0
+  0002 const    r1 = c1
+  0003 const    r3 = c2
+  0004 and?     r3
+  0005 and=     r2 = r3, r1
+  0006 raise    c3 taken
+  0007 const    r5 = c0
+  0008 and=     r6 = r0, r5
+  0009 end      r6
+const c0 = int 0
+const c1 = str "$"
+const c2 = int 1
+const c3 = str "syntax error in expression \"0 && $(x)\""
+`,
+	},
 }
 
 func TestVMDisasmGolden(t *testing.T) {

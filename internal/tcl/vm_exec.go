@@ -778,6 +778,9 @@ func (i *Interp) execExpr(r *vmRun, p *vm.ExprProg, base int) (vm.Value, Result)
 			}
 
 		case vm.ERaise:
+			if in.B != 0 && !taken {
+				break
+			}
 			return vm.Value{}, Result{Code: Error, Value: p.Consts[in.A].Text()}
 
 		case vm.EUnary:

@@ -101,6 +101,16 @@ var vmEquivScripts = []string{
 	`expr {abs(1}`,
 	`expr {1 2}`,
 	`set x 1; foreach v {1} { catch {set r [expr {$x + ("v$v"}]} m }; set m`,
+	// A bare '$' before '(' (and an unclosed ${name) is skipped lexically
+	// when untaken and unwinds to an error when taken.
+	`expr 00&&$(0`,
+	`expr {0 && $(x)}`,
+	`expr {1 ? 2 : $(y)}`,
+	`catch {expr {1 && $(x)}} m; set m`,
+	`catch {expr {2 * ($(x) + 1)}} m; set m`,
+	`set n 0; expr {0 && $([incr n]) || [incr n]}; set n`,
+	`set e "0 && \${x"; expr $e`,
+	`set e "1 && \${x"; catch {expr $e} m; set m`,
 }
 
 // newEvaluator builds an interpreter on the bytecode vm (the default) or,

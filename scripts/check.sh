@@ -40,9 +40,11 @@ go test -race -count=1 ./internal/conformance
 # vm, the default.
 go test -race -count=1 ./internal/tcl
 
-# Sharded-scheduler matrix leg: the shard unit tests plus a goexpect run
-# under -shards, proving the flag-wired path end to end.
-go test -race -count=1 -run 'Shard|Scheduler' ./internal/core
+# Sharded-scheduler matrix leg: the shard unit tests twenty times over,
+# with the checkpoint, restore and snapshot tests whose request/reply
+# messages ride the same shard queues, plus a goexpect run under -shards,
+# proving the flag-wired path end to end.
+go test -race -count=20 -run 'Shard|Scheduler|Checkpoint|Restore|Snapshot' ./internal/core
 go run ./cmd/goexpect -shards 8 -transport pipe -sims -q scripts/passwd.exp >/dev/null
 
 # Soak tier: 2000 sessions across 8 shards for 5s under the race
